@@ -11,7 +11,6 @@ computes the Bollobás-Riordan-Tutte polynomial that ties them together.
 
 from .brt import (
     TrivariatePolynomial,
-    brt_eval,
     brt_polynomial,
     medial_component_count_via_brt,
     tutte_by_rank_oracle,
@@ -58,11 +57,9 @@ from .spaces import (
     class_count_direct,
     class_exponent,
     class_signature,
-    cocycle_space,
     coloring_from_string,
     coloring_to_string,
     cycle_space,
-    dual_cocycle_space,
     same_class,
     signature_basis,
     summarize,
@@ -85,17 +82,14 @@ __all__ = [
     "apply_vertex_move",
     "bicycle_space",
     "bot_matrix",
-    "brt_eval",
     "brt_polynomial",
     "class_count_direct",
     "class_count_homology",
     "class_exponent",
     "class_signature",
-    "cocycle_space",
     "coloring_from_string",
     "coloring_to_string",
     "cycle_space",
-    "dual_cocycle_space",
     "enumerate_classes",
     "format_rotation_system",
     "fundamental_dual_cycles",

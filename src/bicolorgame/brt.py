@@ -148,10 +148,6 @@ def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) 
     return TrivariatePolynomial(coeffs)
 
 
-def brt_eval(p: TrivariatePolynomial, x: Rational, y: Rational, z: Rational) -> Rational:
-    return p.evaluate(x, y, z)
-
-
 def tutte_eval(
     g: EmbeddedGraph, x: Rational, y: Rational, edge_cap: int = DEFAULT_EDGE_CAP
 ) -> Rational:

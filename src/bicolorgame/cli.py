@@ -1,5 +1,9 @@
 """Command-line interface: parse a rotation-system file, run one query.
 
+``main`` is the one path: it loads the graph, calls the command's
+handler ``handler(g, args) -> (doc, lines, rc)`` and emits the result.
+Handlers neither read files nor print.
+
 Exit codes: 0 success, 1 invariant/assertion failure, 2 parse or
 validation error, 3 unsupported operation, 4 enumeration cap exceeded.
 All numeric flags are exact: rationals are written ``p/q`` or ``p``.
@@ -29,6 +33,9 @@ from .selfcheck import failed_checks, run_all_checks
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
+# (JSON document, text lines, exit code)
+Result = tuple[dict[str, Any], list[str], int]
+
 
 def rational(text: str) -> Fraction:
     if not _RATIONAL.match(text):
@@ -43,11 +50,11 @@ def edge_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated edge indices, got {text!r}")
 
 
-def _load_graph(path: str) -> EmbeddedGraph:
+def _read(path: str) -> str:
     if path == "-":
-        return parse_rotation_system(sys.stdin.read())
+        return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_rotation_system(fh.read())
+        return fh.read()
 
 
 def _coloring(g: EmbeddedGraph, bits: str) -> int:
@@ -65,15 +72,10 @@ def _emit(args: argparse.Namespace, document: dict[str, Any], lines: list[str]) 
             print(line)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 # -- command handlers ---------------------------------------------------------
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_info(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     s = spaces.summarize(g)
     doc = {
         "command": "info",
@@ -103,12 +105,10 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"bicycle dimension   {s.bicycle_dim}",
         f"class count         {s.class_count} = 2^{s.class_exponent}",
     ]
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_dual(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     d = g.dual()
     text = format_rotation_system(d, header="dual rotation system")
     doc = {
@@ -117,12 +117,10 @@ def cmd_dual(args: argparse.Namespace) -> int:
         "edge_darts": [list(pair) for pair in d.edge_darts],
         "text": text,
     }
-    _emit(args, doc, [text.rstrip("\n")])
-    return 0
+    return doc, [text.rstrip("\n")], 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_count(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     counts: dict[str, int] = {}
     if args.method in ("direct", "all"):
         counts["direct"] = spaces.class_count_direct(g)
@@ -136,28 +134,23 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "all":
         if len(set(counts.values())) != 1:
             doc["agreement"] = "FAIL"
-            _emit(args, doc, lines + ["routes disagree"])
-            return 1
+            return doc, lines + ["routes disagree"], 1
         doc["agreement"] = "ok"
         lines.append("agreement ok")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def cmd_medial(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_medial(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     mc = trace_medial(g)
     rows = mc.trace_matrix().row_strings()
     doc = {"command": "medial", "components": mc.count, "trace_vectors": rows}
     lines = [f"components {mc.count}"] + [f"strand {i}: {s}" for i, s in enumerate(rows)]
     if mc.count == 0:
         lines.append("(edgeless graph: no strands)")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def cmd_brt(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_brt(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     p = brt.brt_polynomial(g, edge_cap=args.cap)
     doc: dict[str, Any] = {"command": "brt", "polynomial": str(p)}
     lines = [str(p)]
@@ -165,27 +158,23 @@ def cmd_brt(args: argparse.Namespace) -> int:
         x, y, z = args.eval
         value = p.evaluate(x, y, z)
         doc["eval_point"] = [str(x), str(y), str(z)]
-        doc["value"] = _fraction_str(value)
-        lines = [_fraction_str(value)]
-    _emit(args, doc, lines)
-    return 0
+        doc["value"] = str(value)
+        lines = [str(value)]
+    return doc, lines, 0
 
 
-def cmd_tutte(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_tutte(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     x, y = args.eval
     value = brt.tutte_eval(g, x, y, edge_cap=args.cap)
     doc = {
         "command": "tutte",
         "eval_point": [str(x), str(y)],
-        "value": _fraction_str(value),
+        "value": str(value),
     }
-    _emit(args, doc, [_fraction_str(value)])
-    return 0
+    return doc, [str(value)], 0
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     try:
         tc = homology.tree_cotree(g, tree_edges=args.tree)
     except ValueError as exc:
@@ -194,13 +183,14 @@ def cmd_homology(args: argparse.Namespace) -> int:
     basis, images = homology.strand_image_matrix(g, tc)
     b = basis.nrows - gf2.rank(images)
     count = 1 << (2 * g.genus + b)
+    cycles, image_rows = hm.cycle_matrix().row_strings(), images.row_strings()
     doc = {
         "command": "homology",
         "tree_edges": list(tc.tree_edges),
         "cotree_edges": list(tc.cotree_edges),
         "leftover_edges": list(tc.leftover_edges),
-        "fundamental_cycles": hm.cycle_matrix().row_strings(),
-        "strand_images": images.row_strings(),
+        "fundamental_cycles": cycles,
+        "strand_images": image_rows,
         "kernel_dim": b,
         "genus": g.genus,
         "class_count": str(count),
@@ -210,18 +200,16 @@ def cmd_homology(args: argparse.Namespace) -> int:
         "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
         "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
     ]
-    for i, s in enumerate(hm.cycle_matrix().row_strings()):
+    for i, s in enumerate(cycles):
         lines.append(f"cycle {i}: {s}")
-    for i, s in enumerate(images.row_strings()):
+    for i, s in enumerate(image_rows):
         lines.append(f"strand image {i}: {s}")
     lines.append(f"kernel dim b    {b}")
     lines.append(f"class count     {count} = 2^(2*{g.genus} + {b})")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def cmd_reps(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_reps(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     rs = planar_representatives(g)
     ok = verify_representatives(g, rs)
     strings = [spaces.coloring_to_string(g, w) for w in rs.colorings]
@@ -233,49 +221,38 @@ def cmd_reps(args: argparse.Namespace) -> int:
     }
     lines = ["edges " + " ".join(map(str, rs.edges))] + strings
     lines.append("verified" if ok else "verification FAILED")
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return doc, lines, 0 if ok else 1
 
 
-def cmd_signature(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_signature(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     w = _coloring(g, args.coloring)
     basis = spaces.signature_basis(g)
     sig = spaces.class_signature(g, w)
     text = gf2.vector_to_string(sig, basis.nrows)
     doc = {"command": "signature", "signature": text, "length": basis.nrows}
-    _emit(args, doc, [text])
-    return 0
+    return doc, [text], 0
 
 
-def cmd_same_class(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_same_class(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     w1 = _coloring(g, args.a)
     w2 = _coloring(g, args.b)
     same = spaces.same_class(g, w1, w2)
     doc = {"command": "same-class", "same": same}
-    _emit(args, doc, ["true" if same else "false"])
-    return 0
+    return doc, ["true" if same else "false"], 0
 
 
-def cmd_bot(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_bot(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     try:
         matrix = spaces.bot_matrix(g, args.vertex, args.face)
     except (IndexError, ValueError) as exc:
         raise InvalidGraphError(str(exc)) from None
-    doc = {
-        "command": "bot",
-        "rows": matrix.row_strings(),
-        "rank": gf2.rank(matrix),
-    }
-    lines = matrix.row_strings() + [f"rank {gf2.rank(matrix)}"]
-    _emit(args, doc, lines)
-    return 0
+    rows, rank = matrix.row_strings(), gf2.rank(matrix)
+    doc = {"command": "bot", "rows": rows, "rank": rank}
+    lines = rows + [f"rank {rank}"]
+    return doc, lines, 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+def cmd_oracle(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     census = oracle.enumerate_classes(g, edge_cap=args.cap)
     doc = {
         "command": "oracle",
@@ -287,11 +264,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         strings = [spaces.coloring_to_string(g, w) for w in census.representatives]
         doc["representatives"] = strings
         lines.extend(strings)
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(g: None, args: argparse.Namespace) -> Result:
     failures = 0
     report: list[str] = []
     doc_fixtures = {}
@@ -310,8 +286,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                 report.append(f"  {r.name}: {mark}{detail}")
     report.append("selftest " + ("ok" if failures == 0 else f"FAILED ({failures} checks)"))
     doc = {"command": "selftest", "fixtures": doc_fixtures, "failures": failures}
-    _emit(args, doc, report)
-    return 0 if failures == 0 else 1
+    return doc, report, 0 if failures == 0 else 1
 
 
 # -- wiring -------------------------------------------------------------------
@@ -329,25 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_path:
             p.add_argument("path", help="rotation-system file ('-' for stdin)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, path=None)
         return p
+
+    def add_cap(p: argparse.ArgumentParser, ceiling: int) -> None:
+        # the enumerators allocate per subset or per coloring, so --cap
+        # may only lower the default, never raise it
+        p.add_argument("--cap", type=int, choices=range(ceiling + 1), default=ceiling,
+                       metavar="N", help=f"enumeration edge cap, 0..{ceiling}")
 
     add("info", cmd_info, help="counts, genus and space dimensions")
     add("dual", cmd_dual, help="emit the dual graph in the same format")
 
     p = add("count", cmd_count, help="equivalence class count")
     p.add_argument("--method", choices=("direct", "homology", "oracle", "all"), default="all")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_EDGE_CAP, help="oracle edge cap")
+    add_cap(p, oracle.DEFAULT_EDGE_CAP)
 
     add("medial", cmd_medial, help="strand count and trace vectors")
 
     p = add("brt", cmd_brt, help="ribbon polynomial, optionally evaluated")
     p.add_argument("--eval", nargs=3, type=rational, metavar=("X", "Y", "Z"))
-    p.add_argument("--cap", type=int, default=brt.DEFAULT_EDGE_CAP, help="enumeration edge cap")
+    add_cap(p, brt.DEFAULT_EDGE_CAP)
 
     p = add("tutte", cmd_tutte, help="Tutte polynomial value")
     p.add_argument("--eval", nargs=2, type=rational, metavar=("X", "Y"), required=True)
-    p.add_argument("--cap", type=int, default=brt.DEFAULT_EDGE_CAP, help="enumeration edge cap")
+    add_cap(p, brt.DEFAULT_EDGE_CAP)
 
     p = add("homology", cmd_homology, help="tree/co-tree data and the 2^(2g+b) count")
     p.add_argument("--tree", type=edge_list, default=None, metavar="E1,E2,...",
@@ -367,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face", type=int, default=None)
 
     p = add("oracle", cmd_oracle, help="brute-force orbit census")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_EDGE_CAP)
+    add_cap(p, oracle.DEFAULT_EDGE_CAP)
     p.add_argument("--reps", action="store_true", help="print one coloring per class")
 
     p = add("selftest", cmd_selftest, needs_path=False,
@@ -381,8 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (InvalidGraphError, OSError) as exc:
+        g = None if args.path is None else parse_rotation_system(_read(args.path))
+        doc, lines, rc = args.handler(g, args)
+        _emit(args, doc, lines)
+        return rc
+    except (InvalidGraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedError as exc:

@@ -20,12 +20,23 @@ coordinate j throughout the package.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantError, InvalidGraphError, RotationParseError
 from .gf2 import GF2Matrix
+
+_LISTED = 10  # error messages name at most this many indices
+
+
+def _listing(ascending: Iterable[int], total: int) -> str:
+    """The first ``_LISTED`` indices as a list, plus the total when cut short."""
+    shown = list(islice(ascending, _LISTED))
+    more = f" ({total} in total)" if total > len(shown) else ""
+    return f"{shown}{more}"
 
 
 @dataclass(frozen=True)
@@ -90,9 +101,12 @@ class EmbeddedGraph:
                 paired.add(d)
                 if d not in seen:
                     raise InvalidGraphError(f"dart {d} missing from rotations")
-        if seen - paired:
-            missing = sorted(seen - paired)
-            raise InvalidGraphError(f"darts missing from edge pairs: {missing}")
+        unpaired = seen - paired
+        if unpaired:
+            raise InvalidGraphError(
+                "darts missing from edge pairs: "
+                + _listing(sorted(unpaired), len(unpaired))
+            )
         if self.vertex_count == 0:
             raise InvalidGraphError("graph has no vertices")
         if not self._is_connected():
@@ -325,6 +339,35 @@ class EmbeddedGraph:
 
 # -- text format -------------------------------------------------------------
 
+_MAX_DIGITS = 18  # a larger count, index or dart could not fit in memory anyway
+
+
+def _natural(token: str) -> int | None:
+    """A header count or line index: ASCII digits only, else None."""
+    if token.isascii() and token.isdigit() and len(token) <= _MAX_DIGITS:
+        return int(token)
+    return None
+
+
+def _indexed_line(
+    line: str, count: int, seen: dict, noun: str, usage: str, fail: Callable[[str], Exception]
+) -> tuple[int, tuple[int, ...]]:
+    """Index and darts of a ``v <i>: ...`` or ``e <j>: ...`` line."""
+    head, _, tail = line.partition(":")
+    fields = head.split()
+    i = _natural(fields[1]) if len(fields) == 2 else None
+    if i is None:
+        raise fail(f"expected {usage}")
+    if not 0 <= i < count:
+        raise fail(f"{noun} index {i} out of range")
+    if i in seen:
+        raise fail(f"repeated {noun} {i}")
+    tokens = tail.split()
+    if all(len(t) <= _MAX_DIGITS + 1 for t in tokens):  # one more for a sign
+        with suppress(ValueError):
+            return i, tuple(int(t) for t in tokens)
+    raise fail("darts must be integers")
+
 
 def parse_rotation_system(text: str) -> EmbeddedGraph:
     """Parse the rotation-system text format into a validated graph."""
@@ -345,61 +388,49 @@ def parse_rotation_system(text: str) -> EmbeddedGraph:
         if parts[0] == "vertices":
             if vertex_count is not None:
                 raise fail("repeated 'vertices' header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            vertex_count = _natural(parts[1]) if len(parts) == 2 else None
+            if vertex_count is None:
                 raise fail("expected 'vertices <n>'")
-            vertex_count = int(parts[1])
         elif parts[0] == "edges":
             if edge_count is not None:
                 raise fail("repeated 'edges' header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            edge_count = _natural(parts[1]) if len(parts) == 2 else None
+            if edge_count is None:
                 raise fail("expected 'edges <m>'")
-            edge_count = int(parts[1])
         elif parts[0] == "v":
             if vertex_count is None:
                 raise fail("'v' line before 'vertices' header")
-            head, _, tail = line.partition(":")
-            fields = head.split()
-            if len(fields) != 2 or not fields[1].isdigit():
-                raise fail("expected 'v <i>: <darts...>'")
-            i = int(fields[1])
-            if not 0 <= i < vertex_count:
-                raise fail(f"vertex index {i} out of range")
-            if i in rotations:
-                raise fail(f"repeated vertex {i}")
-            try:
-                rotations[i] = tuple(int(t) for t in tail.split())
-            except ValueError:
-                raise fail("darts must be integers") from None
+            i, darts = _indexed_line(
+                line, vertex_count, rotations, "vertex", "'v <i>: <darts...>'", fail
+            )
+            rotations[i] = darts
         elif parts[0] == "e":
             if edge_count is None:
                 raise fail("'e' line before 'edges' header")
-            head, _, tail = line.partition(":")
-            fields = head.split()
-            if len(fields) != 2 or not fields[1].isdigit():
-                raise fail("expected 'e <j>: <dart> <dart>'")
-            j = int(fields[1])
-            if not 0 <= j < edge_count:
-                raise fail(f"edge index {j} out of range")
-            if j in edges:
-                raise fail(f"repeated edge {j}")
-            try:
-                darts = tuple(int(t) for t in tail.split())
-            except ValueError:
-                raise fail("darts must be integers") from None
+            j, darts = _indexed_line(
+                line, edge_count, edges, "edge", "'e <j>: <dart> <dart>'", fail
+            )
             if len(darts) != 2:
                 raise fail("an edge needs exactly two darts")
             edges[j] = (darts[0], darts[1])
         else:
-            raise fail(f"unrecognized line {line!r}")
+            shown = line if len(line) <= 40 else line[:40] + "..."
+            raise fail(f"unrecognized line {shown!r}")
 
     if vertex_count is None or edge_count is None:
         raise RotationParseError("missing 'vertices' or 'edges' header")
-    missing_v = [i for i in range(vertex_count) if i not in rotations]
-    if missing_v:
-        raise RotationParseError(f"missing rotation lines for vertices {missing_v}")
-    missing_e = [j for j in range(edge_count) if j not in edges]
-    if missing_e:
-        raise RotationParseError(f"missing edge lines for edges {missing_e}")
+    # Lazy scans: each stops after _LISTED gaps, so it visits at most
+    # len(lines seen) + _LISTED indices however large the header count is.
+    if len(rotations) < vertex_count:
+        missing = _listing(
+            (i for i in range(vertex_count) if i not in rotations), vertex_count - len(rotations)
+        )
+        raise RotationParseError(f"missing rotation lines for vertices {missing}")
+    if len(edges) < edge_count:
+        missing = _listing(
+            (j for j in range(edge_count) if j not in edges), edge_count - len(edges)
+        )
+        raise RotationParseError(f"missing edge lines for edges {missing}")
     return EmbeddedGraph(
         tuple(rotations[i] for i in range(vertex_count)),
         tuple(edges[j] for j in range(edge_count)),

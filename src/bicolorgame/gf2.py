@@ -153,11 +153,6 @@ def transpose(m: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(m.nrows, tuple(rows))
 
 
-def row_space_sum_dim(a: GF2Matrix, b: GF2Matrix) -> int:
-    """Dimension of (row space of a) + (row space of b)."""
-    return rank(stack(a, b))
-
-
 def row_space_intersection_basis(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Basis of (row space of a) ∩ (row space of b), via the Zassenhaus layout.
 

@@ -169,7 +169,7 @@ def check_tree_choice_invariance(g: EmbeddedGraph, trials: int = 3) -> CheckResu
 
 
 def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
-    want = gf2.row_space_sum_dim(g.incidence_matrix, g.dual_incidence_matrix)
+    want = gf2.rank(gf2.stack(g.incidence_matrix, g.dual_incidence_matrix))
     face_of = g.faces.face_of_dart
     for v in range(g.vertex_count):
         incident = sorted({face_of[d] for d in g.rotations[v]}) or list(range(g.face_count))

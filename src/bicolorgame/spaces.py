@@ -37,16 +37,6 @@ class SpaceSummary:
         return 1 << self.class_exponent
 
 
-def cocycle_space(g: EmbeddedGraph) -> GF2Matrix:
-    """Generators of the cut space U: the incidence matrix rows."""
-    return g.incidence_matrix
-
-
-def dual_cocycle_space(g: EmbeddedGraph) -> GF2Matrix:
-    """Generators of U*: the dual incidence matrix rows."""
-    return g.dual_incidence_matrix
-
-
 def cycle_space(g: EmbeddedGraph) -> GF2Matrix:
     """Basis of the cycle space, the kernel of the incidence matrix."""
     return gf2.kernel_basis(g.incidence_matrix)
@@ -158,7 +148,7 @@ def summarize(g: EmbeddedGraph) -> SpaceSummary:
     dual_inc = g.dual_incidence_matrix
     dim_u = gf2.rank(inc)
     dim_us = gf2.rank(dual_inc)
-    dim_sum = gf2.row_space_sum_dim(inc, dual_inc)
+    dim_sum = gf2.rank(gf2.stack(inc, dual_inc))
     return SpaceSummary(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,

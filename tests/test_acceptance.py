@@ -9,28 +9,21 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from random import Random
 
 from bicolorgame import gf2, spaces
-from bicolorgame.brt import (
-    brt_polynomial,
-    medial_component_count_via_brt,
-    tutte_by_rank_oracle,
-    tutte_eval,
-    whitney_rank_polynomial,
-)
+from bicolorgame.brt import brt_polynomial, medial_component_count_via_brt, tutte_eval
 from bicolorgame.fixtures import load_fixture
 from bicolorgame.homology import (
     class_count_homology,
     fundamental_dual_cycles,
     strand_image_matrix,
-    strand_kernel_basis,
     strand_kernel_dim,
     tree_cotree,
 )
 from bicolorgame.medial import strand_space, trace_medial
 from bicolorgame.oracle import enumerate_classes
 from bicolorgame.representatives import planar_representatives, verify_representatives
+from bicolorgame.selfcheck import check_genus_zero, failed_checks, run_all_checks
 
 from test_brt import SQUARE_HANDLES_BRT, TORUS_GRID_BRT
 
@@ -49,7 +42,7 @@ def test_criterion_1_torus_grid_fixture():
     assert g.vertex_count == 4 and g.edge_count == 9 and g.genus == 1
     assert gf2.rank(g.incidence_matrix) == 3
     assert gf2.rank(g.dual_incidence_matrix) == 4
-    assert gf2.row_space_sum_dim(g.incidence_matrix, g.dual_incidence_matrix) == 6
+    assert gf2.rank(gf2.stack(g.incidence_matrix, g.dual_incidence_matrix)) == 6
     assert (
         gf2.row_space_intersection_basis(g.incidence_matrix, g.dual_incidence_matrix).nrows
         == 1
@@ -120,54 +113,10 @@ def test_criterion_4_property_suite(random_batch):
     assert all(g.edge_count <= 12 for g in random_batch)
     assert any(g.genus > 0 for g in random_batch)
     assert any(g.genus == 0 for g in random_batch)
-    for g in random_batch:
-        # (a) Euler count and genus integrality
-        assert g.vertex_count - g.edge_count + g.face_count == 2 - 2 * g.genus
-        assert g.genus >= 0
-        inc, dual_inc = g.incidence_matrix, g.dual_incidence_matrix
-        # (b) dual cuts are cycles and the quotient has dimension 2g
-        for r1 in inc.rows:
-            for r2 in dual_inc.rows:
-                assert gf2.dot(r1, r2) == 0
-        dim_cycle = g.edge_count - gf2.rank(inc)
-        assert dim_cycle - gf2.rank(dual_inc) == 2 * g.genus
-        # (c) strand count via the polynomial evaluation
-        mc = trace_medial(g)
-        if g.edge_count:
-            assert medial_component_count_via_brt(g) == mc.count
-        # (d) strand generators: sum zero, no proper vanishing subset, dim c-1
-        if g.edge_count:
-            total = 0
-            for v in mc.trace_vectors:
-                total ^= v
-            assert total == 0
-            assert gf2.rank(mc.trace_matrix()) == mc.count - 1
-            assert strand_space(mc).nrows == mc.count - 1
-        # (e) inclusion chain through the strand space
-        strands = strand_space(mc) if g.edge_count else gf2.GF2Matrix(0, ())
-        inter = gf2.row_space_intersection_basis(inc, dual_inc)
-        cycles = gf2.kernel_basis(inc)
-        dual_cycles = gf2.kernel_basis(dual_inc)
-        both = gf2.row_space_intersection_basis(cycles, dual_cycles)
-        for v in inter.rows:
-            assert gf2.in_row_space(strands, v)
-        for v in strands.rows:
-            assert gf2.in_row_space(both, v)
-        # (f) the homology kernel on strands is exactly the intersection
-        if g.edge_count:
-            assert gf2.row_space_equal(strand_kernel_basis(g), inter)
-        # (g) triple agreement of the counting routes
-        direct = spaces.class_count_direct(g)
-        assert direct == class_count_homology(g)
-        assert direct == enumerate_classes(g, edge_cap=12).class_count
-        # (h) z = 1 specialization equals the rank oracle polynomial
-        assert brt_polynomial(g).specialize_z_one() == whitney_rank_polynomial(g)
-        # (i) b is invariant under randomized tree tie-breaking
-        b = strand_kernel_dim(g)
-        for seed in (0, 1):
-            assert strand_kernel_dim(g, tree_cotree(g, rng=Random(seed))) == b
-        # (j) the reduced stacked matrix keeps the full move space rank
-        assert gf2.rank(spaces.bot_matrix(g)) == gf2.row_space_sum_dim(inc, dual_inc)
+    # The identities (a)-(j) are the selfcheck suite, shared with `selftest`.
+    for index, g in enumerate(random_batch):
+        bad = failed_checks(run_all_checks(g))
+        assert not bad, [f"{r.name} failed on graph {index}: {r.detail}" for r in bad]
     _report(f"4 (property suite, {len(random_batch)} systems)", started, 60.0)
 
 
@@ -175,15 +124,12 @@ def test_criterion_5_genus_zero_suite(planar_batch):
     started = time.perf_counter()
     assert len(planar_batch) >= 50
     assert all(g.genus == 0 and g.edge_count <= 12 for g in planar_batch)
-    for g in planar_batch:
-        assert gf2.row_space_equal(
-            g.dual_incidence_matrix, gf2.kernel_basis(g.incidence_matrix)
-        )
-        b = spaces.bicycle_space(g).nrows
-        assert abs(tutte_by_rank_oracle(g, -1, -1)) == 1 << b
-        rs = planar_representatives(g)
-        assert verify_representatives(g, rs)
+    for index, g in enumerate(planar_batch):
+        # dual cuts are the cycles, |T(-1,-1)| = 2^bicycle dim, representatives verify
+        plane = check_genus_zero(g)
+        assert plane.ok, f"{plane.name} failed on graph {index}: {plane.detail}"
         if g.edge_count <= 10:
+            rs = planar_representatives(g)
             census = enumerate_classes(g)
             assert len(rs.colorings) == census.class_count
             reps_min = {min(w ^ s for s in _move_span(g)) for w in rs.colorings}
@@ -228,7 +174,6 @@ def test_criterion_6_degenerate_inputs():
     rs = planar_representatives(digon)
     assert len(rs.colorings) == 2 and verify_representatives(digon, rs)
 
-    from bicolorgame.selfcheck import failed_checks, run_all_checks
     for name in ("single_vertex", "sphere_loop", "torus_rose", "sphere_edge",
                  "sphere_digon", "sphere_path", "sphere_triangle"):
         assert not failed_checks(run_all_checks(load_fixture(name))), name

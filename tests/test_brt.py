@@ -9,7 +9,6 @@ import pytest
 
 from bicolorgame.brt import (
     TrivariatePolynomial,
-    brt_eval,
     brt_polynomial,
     medial_component_count_via_brt,
     tutte_by_rank_oracle,
@@ -46,8 +45,8 @@ def test_square_handles_polynomial(square_handles):
 
 def test_fixture_point_evaluations(torus_grid, square_handles):
     point = (Fraction(-2), Fraction(-2), Fraction(1, 4))
-    assert brt_eval(brt_polynomial(torus_grid), *point) == -4
-    assert brt_eval(brt_polynomial(square_handles), *point) == -8
+    assert brt_polynomial(torus_grid).evaluate(*point) == -4
+    assert brt_polynomial(square_handles).evaluate(*point) == -8
 
 
 def test_single_bridge():

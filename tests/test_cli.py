@@ -199,3 +199,54 @@ def test_stdin_input(paths):
     )
     assert proc.returncode == 0
     assert "8" in proc.stdout
+
+
+def test_non_utf8_input_exit_code(capsys, tmp_path):
+    p = tmp_path / "binary.rot"
+    p.write_bytes(b"\xff")
+    assert main(["info", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices 1000000\nedges 0\n",
+        "vertices 1\nv 0: " + " ".join(map(str, range(200_000))) + "\nedges 0\n",
+    ],
+    ids=["missing-vertex-lines", "unpaired-darts"],
+)
+def test_parse_error_message_is_bounded(capsys, tmp_path, text):
+    p = tmp_path / "big.rot"
+    p.write_text(text, encoding="utf-8")
+    assert main(["info", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 1024
+
+
+def test_huge_header_count_needs_no_memory(tmp_path):
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "huge.rot"
+    p.write_text("vertices 200000000\nedges 0\n", encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bicolorgame.cli", "info", str(p)],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr) < 1024
+
+
+@pytest.mark.parametrize(
+    "command, ceiling", [("count", 22), ("oracle", 22), ("brt", 26), ("tutte", 26)]
+)
+def test_cap_out_of_range(capsys, paths, command, ceiling):
+    extra = ["--eval", "1", "1"] if command == "tutte" else []
+    for cap in (-1, ceiling + 1):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--cap", str(cap), *extra, paths["torus_grid"]])
+        assert exc.value.code == 2
+    assert main([command, "--cap", str(ceiling), *extra, paths["torus_grid"]]) == 0

@@ -113,6 +113,22 @@ def test_parse_errors():
         parse_rotation_system("vertices 1\nv 3: 0\nedges 0\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices \u00b2\n",  # a Unicode digit that int() rejects
+        "vertices " + "9" * 5000 + "\n",  # beyond int()'s digit limit
+        "vertices 1\nv 0: " + " ".join(["7" * 2000] * 2) + "\nedges 0\n",
+        "x" * 5000 + "\n",
+    ],
+    ids=["unicode-digit", "long-count", "long-dart", "long-line"],
+)
+def test_malformed_tokens_give_short_errors(text):
+    with pytest.raises(RotationParseError) as exc:
+        parse_rotation_system(text)
+    assert len(str(exc.value)) < 1024
+
+
 def test_comments_and_blank_lines():
     text = "# heading\n\nvertices 1\nv 0: 0 1  # loop\nedges 1\ne 0: 0 1\n"
     g = parse_rotation_system(text)

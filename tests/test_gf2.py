@@ -84,18 +84,18 @@ def test_rank_nullity_and_kernel_orthogonality():
 
 
 def test_row_space_sum_dim(torus_grid, square_handles):
-    assert gf2.row_space_sum_dim(torus_grid.incidence_matrix, torus_grid.dual_incidence_matrix) == 6
+    assert gf2.rank(gf2.stack(torus_grid.incidence_matrix, torus_grid.dual_incidence_matrix)) == 6
     assert (
-        gf2.row_space_sum_dim(square_handles.incidence_matrix, square_handles.dual_incidence_matrix)
+        gf2.rank(gf2.stack(square_handles.incidence_matrix, square_handles.dual_incidence_matrix))
         == 5
     )
     m = mat([[1, 1, 0], [0, 1, 1]])
-    assert gf2.row_space_sum_dim(m, m) == gf2.rank(m)
+    assert gf2.rank(gf2.stack(m, m)) == gf2.rank(m)
 
 
 def test_row_space_sum_dim_mismatch():
     with pytest.raises(ValueError):
-        gf2.row_space_sum_dim(GF2Matrix(3, (1,)), GF2Matrix(4, (1,)))
+        gf2.stack(GF2Matrix(3, (1,)), GF2Matrix(4, (1,)))
 
 
 def test_intersection_basis_fixtures(torus_grid, square_handles):
@@ -121,7 +121,7 @@ def test_intersection_dimension_identity():
         a = random_matrix(rng, rng.randint(0, 6), n)
         b = random_matrix(rng, rng.randint(0, 6), n)
         inter = gf2.row_space_intersection_basis(a, b)
-        assert gf2.row_space_sum_dim(a, b) == gf2.rank(a) + gf2.rank(b) - inter.nrows
+        assert gf2.rank(gf2.stack(a, b)) == gf2.rank(a) + gf2.rank(b) - inter.nrows
         for v in inter.rows:
             assert gf2.in_row_space(a, v) and gf2.in_row_space(b, v)
 
