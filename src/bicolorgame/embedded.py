@@ -20,7 +20,6 @@ coordinate j throughout the package.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -362,11 +361,15 @@ def _indexed_line(
         raise fail(f"{noun} index {i} out of range")
     if i in seen:
         raise fail(f"repeated {noun} {i}")
-    tokens = tail.split()
-    if all(len(t) <= _MAX_DIGITS + 1 for t in tokens):  # one more for a sign
-        with suppress(ValueError):
-            return i, tuple(int(t) for t in tokens)
-    raise fail("darts must be integers")
+    darts = []
+    for token in tail.split():
+        # A sign is let through so that validation can name a negative dart.
+        negative = token.startswith("-")
+        d = _natural(token[1:] if negative else token)
+        if d is None:
+            raise fail("darts must be integers")
+        darts.append(-d if negative else d)
+    return i, tuple(darts)
 
 
 def parse_rotation_system(text: str) -> EmbeddedGraph:

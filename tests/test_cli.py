@@ -224,6 +224,14 @@ def test_parse_error_message_is_bounded(capsys, tmp_path, text):
     assert err.startswith("error: ") and len(err) < 1024
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+def test_malformed_dart_exit_code(capsys, tmp_path, token):
+    p = tmp_path / "dart.rot"
+    p.write_text(f"vertices 1\nv 0: 0 1\nedges 1\ne 0: 0 {token}\n", encoding="utf-8")
+    assert main(["info", str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 4: darts must be integers\n"
+
+
 def test_huge_header_count_needs_no_memory(tmp_path):
     resource = pytest.importorskip("resource")
     p = tmp_path / "huge.rot"

@@ -129,6 +129,29 @@ def test_malformed_tokens_give_short_errors(text):
     assert len(str(exc.value)) < 1024
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["1_0", "+2", "\u0662", "--1", "-", "1.0", "0x1", "-" + "1" * 19],
+    ids=["underscore", "plus-sign", "arabic-indic-digit", "double-minus", "bare-minus",
+         "decimal-point", "hex", "long-negative"],
+)
+def test_dart_tokens_must_be_ascii_integers(token):
+    for lineno, text in (
+        (2, f"vertices 1\nv 0: 0 {token}\nedges 1\ne 0: 0 1\n"),
+        (4, f"vertices 1\nv 0: 0 1\nedges 1\ne 0: 0 {token}\n"),
+    ):
+        with pytest.raises(RotationParseError, match=f"line {lineno}: darts must be integers"):
+            parse_rotation_system(text)
+
+
+def test_negative_and_longest_darts():
+    with pytest.raises(InvalidGraphError, match="negative dart id -1"):
+        parse_rotation_system("vertices 1\nv 0: 0 -1\nedges 1\ne 0: 0 -1\n")
+    longest = "9" * 18
+    g = parse_rotation_system(f"vertices 1\nv 0: 0 {longest}\nedges 1\ne 0: {longest} 0\n")
+    assert g.edge_darts == ((int(longest), 0),)
+
+
 def test_comments_and_blank_lines():
     text = "# heading\n\nvertices 1\nv 0: 0 1  # loop\nedges 1\ne 0: 0 1\n"
     g = parse_rotation_system(text)

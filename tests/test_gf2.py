@@ -173,3 +173,144 @@ def test_from_strings():
 def test_matrix_rejects_out_of_range_rows():
     with pytest.raises(ValueError):
         GF2Matrix(2, (0b100,))
+
+
+# -- the elimination kernel against the column sweep it replaced ------------------
+
+
+def sweep_rref(m: GF2Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reference: the column-sweep elimination, kept as the oracle."""
+    work = list(m.rows)
+    reduced: list[int] = []
+    pivots: list[int] = []
+    for col in range(m.ncols):
+        mask = 1 << col
+        pivot_row = None
+        for i, r in enumerate(work):
+            if r & mask:
+                pivot_row = work.pop(i)
+                break
+        if pivot_row is None:
+            continue
+        for i, r in enumerate(work):
+            if r & mask:
+                work[i] = r ^ pivot_row
+        for i, r in enumerate(reduced):
+            if r & mask:
+                reduced[i] = r ^ pivot_row
+        reduced.append(pivot_row)
+        pivots.append(col)
+        if not work:
+            break
+    return tuple(reduced), tuple(pivots)
+
+
+def sweep_kernel(m: GF2Matrix) -> tuple[int, ...]:
+    """Reference: one kernel vector per free column, read off the oracle's RREF."""
+    rows, pivots = sweep_rref(m)
+    basis = []
+    for col in range(m.ncols):
+        if col in pivots:
+            continue
+        v = 1 << col
+        for row, p in zip(rows, pivots):
+            if (row >> col) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return tuple(basis)
+
+
+def span(m: GF2Matrix) -> set[int]:
+    out = {0}
+    for r in m.rows:
+        out |= {s ^ r for s in out}
+    return out
+
+
+def incidence_like(rng: Random, nrows: int, ncols: int) -> GF2Matrix:
+    """Rows of a multigraph's incidence matrix: each column joins two rows (or none: a loop)."""
+    rows = [0] * nrows
+    for col in range(ncols):
+        u, w = rng.randrange(nrows), rng.randrange(nrows)
+        if u != w:
+            rows[u] |= 1 << col
+            rows[w] |= 1 << col
+    return GF2Matrix(ncols, tuple(rows))
+
+
+def kernel_cases():
+    """Seeded matrices of every shape the kernel must handle."""
+    rng = Random(0x6F2)
+    yield GF2Matrix(0, ())
+    yield GF2Matrix(0, (0, 0, 0))
+    yield GF2Matrix(5, ())
+    for ncols in (1, 63, 64, 65, 200):
+        for nrows in (1, ncols // 2 + 1, ncols, ncols + 7):
+            m = random_matrix(rng, nrows, ncols)
+            yield m
+            sparse = tuple(r & rng.getrandbits(ncols) & rng.getrandbits(ncols) for r in m.rows)
+            yield GF2Matrix(ncols, sparse)
+            yield GF2Matrix(ncols, m.rows[: nrows // 2] + (0,) * 3 + m.rows[: nrows // 2 + 1])
+            if nrows > 1:
+                yield incidence_like(rng, nrows, ncols)
+
+
+def test_rref_equals_column_sweep():
+    for m in kernel_cases():
+        red, pivots = gf2.rref(m)
+        assert (red.rows, pivots) == sweep_rref(m), m
+        assert red.ncols == m.ncols
+
+
+def test_kernel_basis_equals_column_sweep():
+    for m in kernel_cases():
+        ker = gf2.kernel_basis(m)
+        assert ker.rows == sweep_kernel(m) and ker.ncols == m.ncols
+        assert all(gf2.dot(row, v) == 0 for row in m.rows for v in ker.rows)
+
+
+def test_intersection_is_symmetric_and_equals_span_intersection():
+    rng = Random(0x1A7)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = random_matrix(rng, rng.randint(0, 5), n)
+        b = incidence_like(rng, rng.randint(2, 5), n) if rng.random() < 0.5 else (
+            random_matrix(rng, rng.randint(0, 5), n)
+        )
+        inter = gf2.row_space_intersection_basis(a, b)
+        assert inter == gf2.row_space_intersection_basis(b, a)
+        common = GF2Matrix(n, tuple(sorted(span(a) & span(b))))
+        assert inter.rows == sweep_rref(common)[0]
+
+
+def test_in_row_space_equals_span_membership():
+    rng = Random(0x5B)
+    for _ in range(100):
+        n = rng.randint(0, 8)
+        a = random_matrix(rng, rng.randint(0, 5), n)
+        members = span(a)
+        assert all(gf2.in_row_space(a, v) == (v in members) for v in range(1 << n))
+
+
+def test_transpose_is_the_bitwise_definition_and_an_involution():
+    for m in kernel_cases():
+        t = gf2.transpose(m)
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert all(
+            (t.rows[j] >> i) & 1 == (m.rows[i] >> j) & 1
+            for i in range(m.nrows) for j in range(m.ncols)
+        )
+        assert gf2.transpose(t) == m
+
+
+def test_vector_to_string_at_word_boundaries():
+    rng = Random(3)
+    for length in (0, 1, 63, 64, 65, 200):
+        for v in (0, (1 << length) - 1, rng.getrandbits(length) if length else 0):
+            text = gf2.vector_to_string(v, length)
+            assert text == "".join("1" if (v >> j) & 1 else "0" for j in range(length))
+            assert gf2.vector_from_string(text) == v
+    with pytest.raises(ValueError):
+        gf2.vector_to_string(1, 0)
+    with pytest.raises(ValueError):
+        gf2.vector_to_string(-1, 4)
