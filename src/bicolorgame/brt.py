@@ -117,9 +117,12 @@ def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) 
     """Independent oracle for the z = 1 specialization of the BRT polynomial.
 
     Computes sum over subsets of x^(k(H)-1) y^(n(H)) using only component
-    counts (union-find); no face tracing is involved, so agreement with
-    ``brt_polynomial(...).specialize_z_one()`` cross-validates the ribbon
-    bookkeeping.
+    counts (union-find); no face tracing is involved.  Setting z = 1
+    erases the genus exponent, so agreement with
+    ``brt_polynomial(...).specialize_z_one()`` checks only the component
+    count k(H) of ``subset_counter``; its face count f(H) is checked there
+    only through the exponent range that ``brt_polynomial`` enforces
+    (2g(H) even and 0 <= g(H) <= g).
     """
     m = g.edge_count
     if m > edge_cap:
@@ -159,7 +162,12 @@ def tutte_eval(
 def tutte_by_rank_oracle(
     g: EmbeddedGraph, x: Rational, y: Rational, edge_cap: int = DEFAULT_EDGE_CAP
 ) -> Rational:
-    """Tutte polynomial value from the rank oracle, bypassing face tracing."""
+    """Tutte polynomial value from the rank oracle, bypassing face tracing.
+
+    Agreement with :func:`tutte_eval` checks the component counts k(H) of
+    the sub-ribbon enumeration, not its face counts: z = 1 erases the
+    genus exponent.
+    """
     p = whitney_rank_polynomial(g, edge_cap)
     return p.evaluate(Fraction(x) - 1, Fraction(y) - 1, Fraction(1))
 

@@ -108,29 +108,35 @@ class EmbeddedGraph:
             )
         if self.vertex_count == 0:
             raise InvalidGraphError("graph has no vertices")
-        if not self._is_connected():
+        if len(self.spanning_forest(range(self.edge_count))) != self.vertex_count - 1:
             raise InvalidGraphError("disconnected graph")
 
-    def _is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 1:
-            return True
-        parent = list(range(n))
+    def spanning_forest(self, order: Iterable[int]) -> list[int]:
+        """Kruskal: the edges of ``order`` that join two components so far.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        components = n
+        Union-find with path halving, stopping once V - 1 edges are taken,
+        so the result spans the graph exactly when it has V - 1 edges.  In
+        ascending order it is the lowest-index spanning tree, since edge
+        indices are distinct weights.
+        """
+        parent = list(range(self.vertex_count))
+        forest: list[int] = []
         dv = self.dart_vertex
-        for a, b in self.edge_darts:
-            ra, rb = find(dv[a]), find(dv[b])
-            if ra != rb:
-                parent[ra] = rb
-                components -= 1
-        return components == 1
+        for j in order:
+            if len(forest) == len(parent) - 1:
+                break
+            a, b = self.edge_darts[j]
+            u, w = dv[a], dv[b]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if u != w:
+                parent[u] = w
+                forest.append(j)
+        return forest
 
     @cached_property
     def dart_vertex(self) -> dict[int, int]:
@@ -215,8 +221,13 @@ class EmbeddedGraph:
         """The dual embedding: one vertex per face, edge indexing preserved.
 
         The dual rotation at a face is its boundary orbit, so the dual of
-        the dual recovers the primal vertex/face structure.
+        the dual recovers the primal vertex/face structure.  It is built
+        and validated once per graph.
         """
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "EmbeddedGraph":
         return EmbeddedGraph(self.faces.faces, self.edge_darts)
 
     # -- incidence matrices --------------------------------------------------

@@ -41,37 +41,6 @@ class HomologyMap:
         return GF2Matrix(self.edge_count, self.cycles)
 
 
-def _spanning_tree(
-    vertex_count: int,
-    endpoints: list[tuple[int, int]],
-    allowed: list[int],
-    rng: Random | None,
-) -> list[int]:
-    """Grow a spanning tree from vertex 0 using only the allowed edges.
-
-    Candidates are scanned lowest edge index first; with an rng the
-    candidate order is shuffled per step, which reaches every possible
-    tree choice while keeping the result a valid tree.
-    """
-    reached = [False] * vertex_count
-    reached[0] = True
-    tree: list[int] = []
-    in_tree: set[int] = set()
-    while len(tree) < vertex_count - 1:
-        candidates = [
-            j for j in allowed
-            if j not in in_tree and reached[endpoints[j][0]] != reached[endpoints[j][1]]
-        ]
-        if not candidates:
-            return tree  # caller decides whether a partial tree is an error
-        j = candidates[0] if rng is None else rng.choice(candidates)
-        tree.append(j)
-        in_tree.add(j)
-        u, w = endpoints[j]
-        reached[u] = reached[w] = True
-    return tree
-
-
 def tree_cotree(
     g: EmbeddedGraph,
     tree_edges: tuple[int, ...] | None = None,
@@ -79,14 +48,18 @@ def tree_cotree(
 ) -> TreeCotree:
     """Choose T, C and the 2g leftover edges.
 
-    By default T is grown deterministically (lowest edge index first);
-    pass ``tree_edges`` to replay a specific spanning tree, or ``rng``
-    for randomized tie-breaking.  The co-tree always exists for a
-    cellular embedding; failure to span the dual is reported as an
-    internal error.
+    T and C are Kruskal trees (``EmbeddedGraph.spanning_forest``) over one
+    edge order, C on the dual with the edges of T left out.  By default
+    the order is ascending, so T is the lowest-index spanning tree; pass
+    ``tree_edges`` to replay a specific spanning tree, or ``rng`` to
+    shuffle the order, which reaches every (T, C) pair.  The co-tree
+    always exists for a cellular embedding; failure to span the dual is
+    reported as an internal error.
     """
     nv = g.vertex_count
-    endpoints = [g.edge_endpoints(j) for j in range(g.edge_count)]
+    order = list(range(g.edge_count))
+    if rng is not None:
+        rng.shuffle(order)
     if tree_edges is not None:
         tree = sorted(set(int(j) for j in tree_edges))
         if len(tree) != len(tuple(tree_edges)):
@@ -96,19 +69,16 @@ def tree_cotree(
                 raise ValueError(f"edge index {j} out of range")
         if len(tree) != nv - 1:
             raise ValueError(f"a spanning tree needs {nv - 1} edges, got {len(tree)}")
-        check = _spanning_tree(nv, endpoints, tree, None)
-        if len(check) != nv - 1:
+        if len(g.spanning_forest(tree)) != nv - 1:
             raise ValueError("supplied edges do not form a spanning tree")
     else:
-        tree = _spanning_tree(nv, endpoints, list(range(g.edge_count)), rng)
+        tree = g.spanning_forest(order)
         if len(tree) != nv - 1:
             raise InternalInvariantError("failed to span a connected graph")
 
     dual = g.dual()
-    dual_endpoints = [dual.edge_endpoints(j) for j in range(g.edge_count)]
     tree_set = set(tree)
-    allowed = [j for j in range(g.edge_count) if j not in tree_set]
-    cotree = _spanning_tree(dual.vertex_count, dual_endpoints, allowed, rng)
+    cotree = dual.spanning_forest(j for j in order if j not in tree_set)
     if len(cotree) != dual.vertex_count - 1:
         raise InternalInvariantError("co-tree failed to span the dual graph")
     used = tree_set | set(cotree)

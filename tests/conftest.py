@@ -49,3 +49,39 @@ def planar_batch() -> list[EmbeddedGraph]:
 def small_random_batch(random_batch) -> list[EmbeddedGraph]:
     """Subset with few enough edges for exhaustive coloring sweeps."""
     return [g for g in random_batch if g.edge_count <= 10][:40]
+
+
+def shuffled_torus_grid(rng: Random, n: int) -> EmbeddedGraph:
+    """The n x n grid on the torus with its edges relabelled at random.
+
+    Edge j joins darts 2j (tail) and 2j + 1 (head); every vertex sees its
+    east, north, west and south edges in that order.
+    """
+    label = list(range(2 * n * n))
+    rng.shuffle(label)
+    rotations = []
+    for i in range(n):
+        for k in range(n):
+            east = label[2 * (i * n + k)]
+            north = label[2 * (i * n + k) + 1]
+            west = label[2 * (i * n + (k - 1) % n)]
+            south = label[2 * (((i - 1) % n) * n + k) + 1]
+            rotations.append((2 * east, 2 * north, 2 * west + 1, 2 * south + 1))
+    return EmbeddedGraph(tuple(rotations), tuple((2 * j, 2 * j + 1) for j in range(2 * n * n)))
+
+
+def high_genus_graph(rng: Random) -> EmbeddedGraph:
+    """The first ``random_embedded_graph`` draw with E >= 1000."""
+    while True:
+        g = random_embedded_graph(rng, max_vertices=300, max_edges=1200)
+        if g.edge_count >= 1000:
+            return g
+
+
+@pytest.fixture(scope="session")
+def large_graphs() -> dict[str, EmbeddedGraph]:
+    """A shuffled 32x32 torus grid (E = 2048) and a high-genus draw (E = 1139)."""
+    return {
+        "torus-grid-32": shuffled_torus_grid(Random(32), 32),
+        "random-high-genus": high_genus_graph(Random(1000)),
+    }

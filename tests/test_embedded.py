@@ -95,6 +95,23 @@ def test_validation_errors():
         EmbeddedGraph(((0, 1, 2), (3,)), ((0, 3),))
     with pytest.raises(InvalidGraphError, match="disconnected"):
         EmbeddedGraph(((0, 1), (2, 3)), ((0, 1), (2, 3)))
+    with pytest.raises(InvalidGraphError, match="disconnected"):
+        EmbeddedGraph(((0,), (1,), ()), ((0, 1),))  # an isolated vertex
+
+
+def test_spanning_forest_follows_the_order():
+    digon = load_fixture("sphere_digon")
+    assert digon.spanning_forest([1, 0]) == [1]  # the parallel edge closes a cycle
+    assert digon.spanning_forest([]) == []
+    assert load_fixture("sphere_loop").spanning_forest([0]) == []
+    path = load_fixture("sphere_path")
+    assert path.spanning_forest([1, 0]) == [1, 0]
+
+
+def test_dual_is_built_once(square_handles):
+    d = square_handles.dual()
+    assert square_handles.dual() is d
+    assert d.dual() is d.dual()
 
 
 def test_parse_roundtrip(square_handles):

@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from bicolorgame import gf2, spaces
-from bicolorgame.fixtures import load_fixture
+from bicolorgame.embedded import EmbeddedGraph
+from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.homology import (
     class_count_homology,
     fundamental_dual_cycles,
@@ -18,6 +19,64 @@ from bicolorgame.homology import (
     tree_cotree,
 )
 from bicolorgame.medial import trace_medial
+
+
+def prim_spanning_tree(
+    vertex_count: int, endpoints: list[tuple[int, int]], allowed: list[int]
+) -> list[int]:
+    """Reference: grow a tree from vertex 0, lowest allowed frontier edge first.
+
+    An O(V * E) Prim loop, independent of the union-find in
+    ``EmbeddedGraph.spanning_forest``; a partial tree means the allowed
+    edges do not span.
+    """
+    reached = [False] * vertex_count
+    reached[0] = True
+    tree: list[int] = []
+    in_tree: set[int] = set()
+    while len(tree) < vertex_count - 1:
+        candidates = [
+            j for j in allowed
+            if j not in in_tree and reached[endpoints[j][0]] != reached[endpoints[j][1]]
+        ]
+        if not candidates:
+            return tree
+        j = candidates[0]
+        tree.append(j)
+        in_tree.add(j)
+        u, w = endpoints[j]
+        reached[u] = reached[w] = True
+    return tree
+
+
+def endpoints_of(g: EmbeddedGraph) -> list[tuple[int, int]]:
+    return [g.edge_endpoints(j) for j in range(g.edge_count)]
+
+
+def prim_tree_cotree(g: EmbeddedGraph) -> tuple[tuple[int, ...], ...]:
+    """Reference (T, C, leftovers): Prim trees over the edges in index order."""
+    tree = prim_spanning_tree(g.vertex_count, endpoints_of(g), list(range(g.edge_count)))
+    dual = g.dual()
+    in_tree = set(tree)
+    rest = [j for j in range(g.edge_count) if j not in in_tree]
+    cotree = prim_spanning_tree(dual.vertex_count, endpoints_of(dual), rest)
+    used = in_tree | set(cotree)
+    leftover = tuple(j for j in range(g.edge_count) if j not in used)
+    return tuple(sorted(tree)), tuple(sorted(cotree)), leftover
+
+
+def assert_valid_tree_cotree(g: EmbeddedGraph, tc) -> None:
+    """T spans the graph, C spans the dual without T, the rest number 2g."""
+    tree, cotree = list(tc.tree_edges), list(tc.cotree_edges)
+    assert len(tree) == g.vertex_count - 1
+    assert len(prim_spanning_tree(g.vertex_count, endpoints_of(g), tree)) == len(tree)
+    dual = g.dual()
+    assert len(cotree) == dual.vertex_count - 1
+    assert len(prim_spanning_tree(dual.vertex_count, endpoints_of(dual), cotree)) == len(cotree)
+    assert not set(tree) & set(cotree)
+    used = set(tree) | set(cotree)
+    assert tc.leftover_edges == tuple(j for j in range(g.edge_count) if j not in used)
+    assert len(tc.leftover_edges) == 2 * g.genus
 
 
 def test_replayed_tree_choice(square_handles):
@@ -75,6 +134,37 @@ def test_tree_graph_decomposition():
     assert tc.cotree_edges == ()
     assert tc.leftover_edges == ()
     assert fundamental_dual_cycles(g, tc).cycles == ()
+
+
+def test_default_tree_is_the_prim_tree(random_batch, large_graphs):
+    graphs = random_batch + [load_fixture(name) for name in fixture_names()]
+    graphs += list(large_graphs.values())
+    for g in graphs:
+        tc = tree_cotree(g)
+        assert (tc.tree_edges, tc.cotree_edges, tc.leftover_edges) == prim_tree_cotree(g)
+
+
+def test_shuffled_trees_are_valid_and_vary(torus_grid, random_batch):
+    trees = set()
+    for seed in range(6):
+        tc = tree_cotree(torus_grid, rng=Random(seed))
+        assert_valid_tree_cotree(torus_grid, tc)
+        trees.add(tc.tree_edges)
+    assert len(trees) >= 2
+    rng = Random(5)
+    for g in random_batch[:60]:
+        assert_valid_tree_cotree(g, tree_cotree(g, rng=rng))
+
+
+def test_every_tree_is_a_kruskal_tree(random_batch):
+    # An order listing a spanning tree's edges first yields that tree, so
+    # shuffling the order can reach every spanning tree.
+    rng = Random(11)
+    for g in random_batch[:60]:
+        tree = list(tree_cotree(g, rng=rng).tree_edges)
+        rng.shuffle(tree)
+        rest = [j for j in range(g.edge_count) if j not in set(tree)]
+        assert g.spanning_forest(tree + rest) == tree
 
 
 def test_invalid_supplied_tree(square_handles):
