@@ -13,7 +13,6 @@ from .brt import (
     TrivariatePolynomial,
     brt_polynomial,
     medial_component_count_via_brt,
-    tutte_by_rank_oracle,
     tutte_eval,
     whitney_rank_polynomial,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "summarize",
     "trace_medial",
     "tree_cotree",
-    "tutte_by_rank_oracle",
     "tutte_eval",
     "verify_representatives",
     "whitney_rank_polynomial",

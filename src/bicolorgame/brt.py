@@ -7,7 +7,9 @@ For a connected graph embedded on an orientable surface,
 where k is the component count of the spanning subgraph, n = e - v + k its
 nullity, and g its genus as a ribbon subgraph (faces re-traced from the
 restricted rotations).  The x variable is shifted by one relative to the
-oldest convention, so the Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1).
+oldest convention, so the Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1),
+which is Whitney's rank polynomial at (x-1, y-1): Tutte values need
+component counts only and come from :func:`whitney_rank_polynomial`.
 
 Evaluations use exact rational arithmetic throughout; the interesting
 evaluation point z = 1/4 makes floating point unacceptable.
@@ -114,15 +116,16 @@ def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Trivar
 
 
 def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
-    """Independent oracle for the z = 1 specialization of the BRT polynomial.
+    """Whitney's rank polynomial: the z = 1 specialization of the BRT polynomial.
 
     Computes sum over subsets of x^(k(H)-1) y^(n(H)) using only component
-    counts (union-find); no face tracing is involved.  Setting z = 1
-    erases the genus exponent, so agreement with
-    ``brt_polynomial(...).specialize_z_one()`` checks only the component
-    count k(H) of ``subset_counter``; its face count f(H) is checked there
-    only through the exponent range that ``brt_polynomial`` enforces
-    (2g(H) even and 0 <= g(H) <= g).
+    counts (union-find); no face tracing is involved.  This is the
+    production path for Tutte values (:func:`tutte_eval`).  Setting z = 1
+    erases the genus exponent, so its agreement with
+    ``brt_polynomial(...).specialize_z_one()`` (``check_rank_oracle``)
+    checks only the component count k(H) of ``subset_counter``; its face
+    count f(H) is checked there only through the exponent range that
+    ``brt_polynomial`` enforces (2g(H) even and 0 <= g(H) <= g).
     """
     m = g.edge_count
     if m > edge_cap:
@@ -154,19 +157,12 @@ def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) 
 def tutte_eval(
     g: EmbeddedGraph, x: Rational, y: Rational, edge_cap: int = DEFAULT_EDGE_CAP
 ) -> Rational:
-    """Tutte polynomial value via the BRT specialization at z = 1."""
-    p = brt_polynomial(g, edge_cap)
-    return p.evaluate(Fraction(x) - 1, Fraction(y) - 1, Fraction(1))
+    """Tutte polynomial value T(x, y) = R(x-1, y-1), R the rank polynomial.
 
-
-def tutte_by_rank_oracle(
-    g: EmbeddedGraph, x: Rational, y: Rational, edge_cap: int = DEFAULT_EDGE_CAP
-) -> Rational:
-    """Tutte polynomial value from the rank oracle, bypassing face tracing.
-
-    Agreement with :func:`tutte_eval` checks the component counts k(H) of
-    the sub-ribbon enumeration, not its face counts: z = 1 erases the
-    genus exponent.
+    T(x, y) = BRT(x-1, y-1, 1), and z = 1 erases the genus exponent, so
+    only component counts matter and no sub-ribbon faces are traced.
+    ``check_rank_oracle`` cross-checks the rank polynomial against the
+    BRT sweep at z = 1.
     """
     p = whitney_rank_polynomial(g, edge_cap)
     return p.evaluate(Fraction(x) - 1, Fraction(y) - 1, Fraction(1))

@@ -10,9 +10,10 @@ maps the state (d, p) to (alpha(d), p), so each closed curve appears as
 two disjoint state orbits; components are reported once, indexed by the
 smallest state they visit.
 
-Per strand we record how often each edge is crossed; mod 2 these counts
-form the trace vector of the strand, a cycle of both the graph and its
-dual.  Across all strands every edge is crossed exactly twice.
+Per strand we record which edges it crosses an odd number of times: the
+trace vector of the strand, a cycle of both the graph and its dual.  Per
+edge we record how often all strands together cross it, which is exactly
+twice.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ class MedialComponents:
     """Strands of the medial graph with their edge-trace data.
 
     ``trace_vectors[i]`` is the mod-2 edge indicator of strand i, and
-    ``multiplicities[i][j]`` the raw number of times strand i crosses
+    ``crossings[j]`` the number of times all strands together cross
     edge j.  An edgeless graph has no strands (count 0).
     """
 
     edge_count: int
     trace_vectors: tuple[int, ...]
-    multiplicities: tuple[tuple[int, ...], ...]
+    crossings: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -57,17 +58,19 @@ def trace_medial(g: EmbeddedGraph) -> MedialComponents:
     edge_of = g.dart_edge
     visited: set[tuple[int, int]] = set()
     vectors: list[int] = []
-    multiplicities: list[tuple[int, ...]] = []
+    crossings = [0] * m
     for d0 in sorted(alpha):
         for p0 in (0, 1):
             if (d0, p0) in visited:
                 continue
-            counts = [0] * m
+            odd = bytearray((m + 7) // 8)  # bit j: edge j crossed an odd number of times
             orbit: list[tuple[int, int]] = []
             d, p = d0, p0
             while True:
                 orbit.append((d, p))
-                counts[edge_of[d]] += 1
+                j = edge_of[d]
+                crossings[j] += 1
+                odd[j >> 3] ^= 1 << (j & 7)
                 a = alpha[d]
                 d = sigma[a] if p == 0 else sigma_inv[a]
                 p ^= 1
@@ -78,9 +81,8 @@ def trace_medial(g: EmbeddedGraph) -> MedialComponents:
                 raise InternalInvariantError("medial strand coincides with its reverse")
             visited.update(orbit)
             visited.update(reverse)
-            vectors.append(sum(1 << j for j, c in enumerate(counts) if c & 1))
-            multiplicities.append(tuple(counts))
-    return MedialComponents(m, tuple(vectors), tuple(multiplicities))
+            vectors.append(int.from_bytes(odd, "little"))
+    return MedialComponents(m, tuple(vectors), tuple(crossings))
 
 
 def strand_space(mc: MedialComponents) -> GF2Matrix:

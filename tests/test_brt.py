@@ -11,12 +11,13 @@ from bicolorgame.brt import (
     TrivariatePolynomial,
     brt_polynomial,
     medial_component_count_via_brt,
-    tutte_by_rank_oracle,
     tutte_eval,
     whitney_rank_polynomial,
 )
+from bicolorgame.cli import main
+from bicolorgame.embedded import EmbeddedGraph
 from bicolorgame.errors import EdgeCapError
-from bicolorgame.fixtures import load_fixture
+from bicolorgame.fixtures import fixture_text, load_fixture
 from bicolorgame.medial import trace_medial
 
 # frozen coefficient tables for the two torus fixtures
@@ -55,13 +56,11 @@ def test_single_bridge():
     assert dict(p.coeffs) == {(1, 0, 0): 1, (0, 0, 0): 1}  # x + 1
     assert tutte_eval(g, -1, -1) == -1
     assert tutte_eval(g, 2, 2) == 2
-    assert tutte_by_rank_oracle(g, 2, 2) == 2
 
 
 def test_single_loop():
     g = load_fixture("sphere_loop")
     assert tutte_eval(g, 2, 2) == 2  # T = y
-    assert tutte_by_rank_oracle(g, 2, 2) == 2
 
 
 def test_rose_by_hand_enumeration(torus_rose):
@@ -123,12 +122,29 @@ def test_planar_tutte_counts_bicycles(planar_batch):
         assert abs(tutte_eval(g, -1, -1)) == 1 << b
 
 
-def test_tutte_routes_agree(torus_grid):
+def test_tutte_routes_agree(torus_grid, random_batch):
+    # tutte_eval enumerates the rank polynomial; the BRT sweep at z = 1 is its check
     rng = Random(3)
-    for _ in range(5):
-        x = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        y = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        assert tutte_eval(torus_grid, x, y) == tutte_by_rank_oracle(torus_grid, x, y)
+    for g in [torus_grid, *random_batch[:60]]:
+        brt = brt_polynomial(g)
+        for _ in range(5):
+            x = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            y = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            assert tutte_eval(g, x, y) == brt.evaluate(x - 1, y - 1, 1)
+
+
+def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
+    want = brt_polynomial(torus_grid).evaluate(Fraction(-2), Fraction(-2), Fraction(1))
+
+    def no_face_tracing(self):
+        raise AssertionError("tutte_eval traced sub-ribbon faces")
+
+    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_face_tracing)
+    assert tutte_eval(torus_grid, -1, -1) == want
+    path = tmp_path / "torus_grid.rot"
+    path.write_text(fixture_text("torus_grid"), encoding="utf-8")
+    assert main(["tutte", "--eval", "-1", "-1", str(path)]) == 0
+    assert capsys.readouterr().out == f"{want}\n"
 
 
 def test_polynomial_string():

@@ -128,6 +128,10 @@ def test_missing_file_exit_code(capsys):
 def test_cap_exit_code(capsys, paths):
     assert main(["brt", "--cap", "3", paths["torus_grid"]]) == 4
     assert main(["oracle", "--cap", "3", paths["torus_grid"]]) == 4
+    capsys.readouterr()
+    assert main(["tutte", "--eval", "1", "1", "--cap", "3", paths["torus_grid"]]) == 4
+    assert capsys.readouterr().err == "cap exceeded: 9 edges exceeds the enumeration cap 3\n"
+    assert main(["count", "--cap", "3", paths["torus_grid"]]) == 4
 
 
 def test_rational_flag_validation(capsys, paths):

@@ -38,7 +38,7 @@ def test_single_edge_strand():
     assert mc.count == 1
     assert strand_space(mc).nrows == 0
     # the one strand crosses the one edge twice
-    assert mc.multiplicities == ((2,),)
+    assert mc.crossings == (2,)
     assert mc.trace_vectors == (0,)
 
 
@@ -61,8 +61,7 @@ def _assert_strand_lemma(g):
     for v in mc.trace_vectors:
         total ^= v
     assert total == 0
-    for j in range(g.edge_count):
-        assert sum(mult[j] for mult in mc.multiplicities) == 2
+    assert mc.crossings == (2,) * g.edge_count
     # the only vanishing combination is the full sum: rank c-1 plus sum zero
     assert gf2.rank(mc.trace_matrix()) == mc.count - 1
     assert strand_space(mc).nrows == mc.count - 1

@@ -57,9 +57,7 @@ def _strand_dropped(monkeypatch, g):
 
     def trace_medial(h):
         mc = real(h)
-        return dataclasses.replace(
-            mc, trace_vectors=mc.trace_vectors[:-1], multiplicities=mc.multiplicities[:-1]
-        )
+        return dataclasses.replace(mc, trace_vectors=mc.trace_vectors[:-1])
 
     monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
     return g
@@ -105,8 +103,8 @@ def _bot_matrix_emptied(monkeypatch, g):
 
 
 def _tutte_doubled(monkeypatch, g):
-    real = selfcheck.tutte_by_rank_oracle
-    monkeypatch.setattr(selfcheck, "tutte_by_rank_oracle", lambda h, x, y: 2 * real(h, x, y))
+    real = selfcheck.tutte_eval
+    monkeypatch.setattr(selfcheck, "tutte_eval", lambda h, x, y: 2 * real(h, x, y))
     return g
 
 
@@ -134,3 +132,17 @@ def test_check_fails_on_broken_input(check, fixture, mutate, monkeypatch, reques
     g = request.getfixturevalue(fixture)
     assert check(g).ok, "the unbroken graph must pass, or the mutation shows nothing"
     assert not check(mutate(monkeypatch, g)).ok
+
+
+def test_strand_lemma_fails_on_an_edge_crossed_three_times(monkeypatch, torus_grid):
+    real = selfcheck.trace_medial
+
+    def trace_medial(h):
+        mc = real(h)
+        return dataclasses.replace(mc, crossings=(3,) + mc.crossings[1:])
+
+    assert selfcheck.check_strand_lemma(torus_grid).ok
+    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    result = selfcheck.check_strand_lemma(torus_grid)
+    assert not result.ok
+    assert result.detail == "edge 0 not crossed exactly twice"
