@@ -5,11 +5,14 @@ For a connected graph embedded on an orientable surface,
     BRT(x, y, z) = sum over edge subsets H of x^(k(H)-1) y^(n(H)) z^(g(H)),
 
 where k is the component count of the spanning subgraph, n = e - v + k its
-nullity, and g its genus as a ribbon subgraph (faces re-traced from the
-restricted rotations).  The x variable is shifted by one relative to the
-oldest convention, so the Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1),
-which is Whitney's rank polynomial at (x-1, y-1): Tutte values need
-component counts only and come from :func:`whitney_rank_polynomial`.
+nullity, and g its genus as a ribbon subgraph.  The subsets are enumerated
+depth first, one edge added per level and undone on the way back, and each
+level updates k and the face count by a local rule instead of re-tracing
+faces; :func:`brt_by_sweep` re-traces every subset and is the oracle.  The
+x variable is shifted by one relative to the oldest convention, so the
+Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1), which is Whitney's rank
+polynomial at (x-1, y-1): Tutte values need component counts only and come
+from :func:`whitney_rank_polynomial`.
 
 Evaluations use exact rational arithmetic throughout; the interesting
 evaluation point z = 1/4 makes floating point unacceptable.
@@ -47,9 +50,6 @@ class TrivariatePolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def coefficient(self, a: int, b: int, c: int) -> int:
-        return self.coeffs.get((a, b, c), 0)
-
     def evaluate(self, x: Rational, y: Rational, z: Rational) -> Rational:
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
         total = Fraction(0)
@@ -64,9 +64,6 @@ class TrivariatePolynomial:
             key = (a, b, 0)
             out[key] = out.get(key, 0) + coeff
         return TrivariatePolynomial(out)
-
-    def total_coefficient_sum(self) -> int:
-        return sum(self.coeffs.values())
 
     def __str__(self) -> str:
         """Canonical rendering, monomials in descending (a, b, c) lex order."""
@@ -92,18 +89,148 @@ class TrivariatePolynomial:
         return text
 
 
-def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
-    """Enumerate all 2^|E| spanning sub-ribbons of ``g``."""
-    m = g.edge_count
+def _check_cap(m: int, edge_cap: int) -> None:
     if m > edge_cap:
         raise EdgeCapError(f"{m} edges exceeds the enumeration cap {edge_cap}")
+
+
+def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
+    """Count the 2^|E| spanning subsets H by (k(H), |H|, f(H)), depth first.
+
+    Each node of the enumeration adds one edge of higher index than those
+    already in H, so every subset is visited once, and each level is
+    undone on the way back: a union-find with union by rank and no path
+    compression, and per vertex a doubly linked sub-rotation into which a
+    dart is inserted after its nearest present predecessor in the full
+    rotation.  Faces are counted by rule, never re-traced: an edge joining
+    two components merges two faces; an edge inside one component splits
+    a face when its two corners lie on one face and otherwise merges two
+    (raising the genus by one).  A face is the orbit of
+    phi(d) = sigma_H(alpha(d)), and a corner is named by the dart after
+    it, which lies on its face.  With ``faces`` false f(H) is reported as
+    0 and no sub-rotation is kept.
+    """
+    nv = g.vertex_count
+    m = g.edge_count
+    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
+    alpha = [index_of[g.alpha[d]] for d in index_of]
+    sigma_inv = [index_of[g.sigma_inv[d]] for d in index_of]
+    dv = g.dart_vertex
+    ends = [(dv[a], dv[b], index_of[a], index_of[b]) for a, b in g.edge_darts]
+    parent = list(range(nv))
+    rank = [0] * nv
+    nxt = [-1] * len(alpha)  # sub-rotation successor; -1 marks an absent dart
+    prv = [-1] * len(alpha)
+    degree = [0] * nv  # darts present at each vertex
+    # census index k * sk + |H| * se + f, with f <= nv + |H|
+    se = nv + m + 1 if faces else 1
+    sk = (m + 1) * se
+    census = [0] * ((nv + 1) * sk)
+
+    def before(d: int) -> int:
+        """Nearest present dart before ``d`` in its full rotation."""
+        p = sigma_inv[d]
+        while nxt[p] < 0:
+            p = sigma_inv[p]
+        return p
+
+    def insert(d: int, p: int) -> None:
+        if p < 0:
+            nxt[d] = prv[d] = d
+        else:
+            s = nxt[p]
+            nxt[p] = d
+            prv[d] = p
+            nxt[d] = s
+            prv[s] = d
+
+    def unlink(d: int) -> None:
+        p, s = prv[d], nxt[d]
+        nxt[p] = s
+        prv[s] = p
+        nxt[d] = -1
+
+    def one_face(x: int, y: int) -> bool:
+        """Whether darts x and y share a face; walks both, so costs the shorter."""
+        cx, cy = x, y
+        while x != cy:
+            x = nxt[alpha[x]]
+            if x == cx:
+                return False
+            y = nxt[alpha[y]]
+            if y == cx:
+                return True
+            if y == cy:
+                return False
+        return True
+
+    def visit(first: int, index: int) -> None:
+        for j in range(first, m):
+            u, w, a, b = ends[j]
+            ru = u
+            while parent[ru] != ru:
+                ru = parent[ru]
+            rw = w
+            while parent[rw] != rw:
+                rw = parent[rw]
+            joined = ru != rw
+            if joined:
+                if rank[ru] < rank[rw]:
+                    ru, rw = rw, ru
+                parent[rw] = ru
+                bumped = rank[ru] == rank[rw]
+                if bumped:
+                    rank[ru] += 1
+                step = se - sk
+            else:
+                step = se
+            if faces:
+                pa = before(a) if degree[u] else -1
+                pb = before(b) if degree[w] else -1
+                # a loop at an isolated vertex has both corners on its one face
+                if not joined and (pa < 0 or one_face(nxt[pa], nxt[pb])):
+                    step += 1
+                else:
+                    step -= 1
+                insert(a, pa)
+                degree[u] += 1
+                if u == w and pa == pb:
+                    pb = before(b)
+                insert(b, pb)
+                degree[w] += 1
+            census[index + step] += 1
+            if j + 1 < m:
+                visit(j + 1, index + step)
+            if faces:
+                unlink(b)
+                degree[w] -= 1
+                unlink(a)
+                degree[u] -= 1
+            if joined:
+                parent[rw] = rw
+                if bumped:
+                    rank[ru] -= 1
+
+    root = nv * sk + (nv if faces else 0)
+    census[root] = 1
+    visit(0, root)
+    out: dict[tuple[int, int, int], int] = {}
+    for index, count in enumerate(census):
+        if count:
+            k, rest = divmod(index, sk)
+            e, f = divmod(rest, se)
+            out[(k, e, f)] = count
+    return out
+
+
+def _ribbon_polynomial(
+    g: EmbeddedGraph, census: Mapping[tuple[int, int, int], int]
+) -> TrivariatePolynomial:
+    """BRT coefficients from subset counts by (k, |H|, f), every triple checked."""
     nv = g.vertex_count
     genus_total = g.genus
-    count = g.subset_counter()
     coeffs: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << m):
-        k, f = count(mask)
-        e_sub = mask.bit_count()
+    for (k, e_sub, f), count in census.items():
         two_genus = 2 * k - nv + e_sub - f
         if two_genus < 0 or two_genus % 2:
             raise InternalInvariantError("sub-ribbon Euler count is inconsistent")
@@ -111,46 +238,47 @@ def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Trivar
         if genus_sub > genus_total or k < 1:
             raise InternalInvariantError("sub-ribbon exponents out of range")
         key = (k - 1, e_sub - nv + k, genus_sub)
-        coeffs[key] = coeffs.get(key, 0) + 1
+        coeffs[key] = coeffs.get(key, 0) + count
     return TrivariatePolynomial(coeffs)
+
+
+def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
+    """Enumerate all 2^|E| spanning sub-ribbons of ``g``, depth first."""
+    _check_cap(g.edge_count, edge_cap)
+    return _ribbon_polynomial(g, _subset_census(g, faces=True))
+
+
+def brt_by_sweep(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
+    """The BRT polynomial with every subset rebuilt and its faces re-traced.
+
+    The plain per-mask sweep over ``EmbeddedGraph.subset_counter``, kept
+    as the oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
+    """
+    m = g.edge_count
+    _check_cap(m, edge_cap)
+    count = g.subset_counter()
+    census: dict[tuple[int, int, int], int] = {}
+    for mask in range(1 << m):
+        k, f = count(mask)
+        key = (k, mask.bit_count(), f)
+        census[key] = census.get(key, 0) + 1
+    return _ribbon_polynomial(g, census)
 
 
 def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
     """Whitney's rank polynomial: the z = 1 specialization of the BRT polynomial.
 
-    Computes sum over subsets of x^(k(H)-1) y^(n(H)) using only component
-    counts (union-find); no face tracing is involved.  This is the
-    production path for Tutte values (:func:`tutte_eval`).  Setting z = 1
-    erases the genus exponent, so its agreement with
-    ``brt_polynomial(...).specialize_z_one()`` (``check_rank_oracle``)
-    checks only the component count k(H) of ``subset_counter``; its face
-    count f(H) is checked there only through the exponent range that
-    ``brt_polynomial`` enforces (2g(H) even and 0 <= g(H) <= g).
+    Sums x^(k(H)-1) y^(n(H)) over the subsets H with the depth-first
+    enumeration of :func:`brt_polynomial`, keeping only its union-find:
+    component counts alone, no sub-rotations and no faces.  This is the
+    production path for Tutte values (:func:`tutte_eval`);
+    ``check_rank_oracle`` compares it with ``brt_by_sweep`` at z = 1.
     """
-    m = g.edge_count
-    if m > edge_cap:
-        raise EdgeCapError(f"{m} edges exceeds the enumeration cap {edge_cap}")
+    _check_cap(g.edge_count, edge_cap)
     nv = g.vertex_count
-    endpoints = [g.edge_endpoints(j) for j in range(m)]
-    parent = list(range(nv))
     coeffs: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << m):
-        parent[:] = range(nv)
-        k = nv
-        for j, (u, w) in enumerate(endpoints):
-            if not (mask >> j) & 1:
-                continue
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[w] != w:
-                parent[w] = parent[parent[w]]
-                w = parent[w]
-            if u != w:
-                parent[u] = w
-                k -= 1
-        key = (k - 1, mask.bit_count() - nv + k, 0)
-        coeffs[key] = coeffs.get(key, 0) + 1
+    for (k, e_sub, _), count in _subset_census(g, faces=False).items():
+        coeffs[(k - 1, e_sub - nv + k, 0)] = count
     return TrivariatePolynomial(coeffs)
 
 

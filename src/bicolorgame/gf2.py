@@ -19,7 +19,7 @@ rows [y | 0] of its second argument before the rows [x | x] of its first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def dot(u: int, v: int) -> int:
@@ -63,20 +63,6 @@ class GF2Matrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_bits(cls, bit_rows: Sequence[Sequence[int]], ncols: int | None = None) -> "GF2Matrix":
-        """Build a matrix from rows given as sequences of 0/1 entries."""
-        rows = []
-        for bits in bit_rows:
-            if ncols is None:
-                ncols = len(bits)
-            elif len(bits) != ncols:
-                raise ValueError("rows have inconsistent lengths")
-            rows.append(sum(1 << j for j, b in enumerate(bits) if b))
-        if ncols is None:
-            raise ValueError("column count required for an empty matrix")
-        return cls(ncols, tuple(rows))
 
     @classmethod
     def from_strings(cls, bit_rows: Iterable[str], ncols: int | None = None) -> "GF2Matrix":

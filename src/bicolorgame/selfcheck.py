@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 
 from . import gf2, spaces
 from .brt import (
+    brt_by_sweep,
     brt_polynomial,
     medial_component_count_via_brt,
     tutte_eval,
@@ -180,7 +181,16 @@ def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
 
 
 def check_rank_oracle(g: EmbeddedGraph) -> CheckResult:
-    ok = brt_polynomial(g).specialize_z_one() == whitney_rank_polynomial(g)
+    """Both depth-first enumerations against the per-mask sweep.
+
+    The three-variable comparison checks the face counts of
+    ``brt_polynomial``; z = 1 checks the component counts of the rank
+    polynomial.
+    """
+    swept = brt_by_sweep(g)
+    if brt_polynomial(g) != swept:
+        return CheckResult("whitney-specialization", False, "BRT differs from the sweep")
+    ok = swept.specialize_z_one() == whitney_rank_polynomial(g)
     return CheckResult("whitney-specialization", ok)
 
 

@@ -7,8 +7,10 @@ from random import Random
 
 import pytest
 
+import bicolorgame.brt as brt_module
 from bicolorgame.brt import (
     TrivariatePolynomial,
+    brt_by_sweep,
     brt_polynomial,
     medial_component_count_via_brt,
     tutte_eval,
@@ -17,7 +19,7 @@ from bicolorgame.brt import (
 from bicolorgame.cli import main
 from bicolorgame.embedded import EmbeddedGraph
 from bicolorgame.errors import EdgeCapError
-from bicolorgame.fixtures import fixture_text, load_fixture
+from bicolorgame.fixtures import fixture_names, fixture_text, load_fixture
 from bicolorgame.medial import trace_medial
 
 # frozen coefficient tables for the two torus fixtures
@@ -72,7 +74,7 @@ def test_rose_by_hand_enumeration(torus_rose):
 
 def test_constant_term_and_eval_zero(torus_grid):
     p = brt_polynomial(torus_grid)
-    assert p.evaluate(Fraction(0), Fraction(0), Fraction(0)) == p.coefficient(0, 0, 0) == 48
+    assert p.evaluate(Fraction(0), Fraction(0), Fraction(0)) == p.coeffs[(0, 0, 0)] == 48
 
 
 def test_component_counts_via_polynomial(torus_grid, square_handles, two_triangles):
@@ -91,20 +93,69 @@ def test_exponent_ranges(torus_grid, square_handles):
         for (a, b, c) in p.coeffs:
             assert a >= 0 and b >= 0
             assert 0 <= c <= g.genus
-        assert p.total_coefficient_sum() == 2**g.edge_count
+        assert sum(p.coeffs.values()) == 2**g.edge_count
 
 
-def test_edge_cap():
-    g = load_fixture("torus_grid")
-    with pytest.raises(EdgeCapError):
-        brt_polynomial(g, edge_cap=8)
-    with pytest.raises(EdgeCapError):
-        whitney_rank_polynomial(g, edge_cap=8)
+def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    # the cap is tested before any subset is enumerated, on every route
+    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_enumeration)
+    monkeypatch.setattr(brt_module, "_subset_census", no_enumeration)
+    message = "9 edges exceeds the enumeration cap 8"
+    for enumerate_subsets in (brt_polynomial, brt_by_sweep, whitney_rank_polynomial):
+        with pytest.raises(EdgeCapError, match=message):
+            enumerate_subsets(torus_grid, edge_cap=8)
+    path = tmp_path / "torus_grid.rot"
+    path.write_text(fixture_text("torus_grid"), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["brt", "--cap", "8"], ["tutte", "--eval", "1", "1", "--cap", "8"]):
+        assert main([*argv, str(path)]) == 4
+        assert capsys.readouterr().err == f"cap exceeded: {message}\n"
+    monkeypatch.undo()
+    assert dict(brt_polynomial(torus_grid, edge_cap=9).coeffs) == TORUS_GRID_BRT
+    want = TrivariatePolynomial(TORUS_GRID_BRT).specialize_z_one()
+    assert whitney_rank_polynomial(torus_grid, edge_cap=9) == want
 
 
-def test_z_one_specialization_matches_rank_oracle(random_batch):
-    for g in random_batch[:60]:
-        assert brt_polynomial(g).specialize_z_one() == whitney_rank_polynomial(g)
+# hand-built degenerate rotation systems: (rotations, edge darts)
+DEGENERATE = {
+    "one vertex, no edges": ([[]], []),
+    "three nested loops": ([[0, 1, 2, 3, 4, 5]], [(0, 5), (1, 4), (2, 3)]),
+    "three interleaved loops": ([[0, 1, 2, 3, 4, 5]], [(0, 3), (1, 4), (2, 5)]),
+    "three parallel edges": ([[0, 2, 4], [5, 1, 3]], [(0, 1), (2, 3), (4, 5)]),
+    "path": ([[0], [1, 2], [3, 4], [5]], [(0, 1), (2, 3), (4, 5)]),
+    "bridge between two loops": ([[90, 7, 1000], [3, 41, 12]], [(7, 90), (1000, 3), (12, 41)]),
+}
+
+
+def test_z_one_specialization_matches_rank_oracle(random_batch, planar_batch):
+    # the depth-first BRT must equal the per-mask sweep in all three
+    # variables, and the rank polynomial must equal the sweep at z = 1
+    degenerate = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
+    fixtures = [load_fixture(name) for name in fixture_names()]
+    for g in [*fixtures, *degenerate, *random_batch, *planar_batch]:
+        swept = brt_by_sweep(g)
+        assert brt_polynomial(g) == swept
+        assert whitney_rank_polynomial(g) == swept.specialize_z_one()
+
+
+def test_degenerate_polynomials():
+    def coeffs(name):
+        return dict(brt_polynomial(EmbeddedGraph(*DEGENERATE[name])).coeffs)
+
+    assert coeffs("one vertex, no edges") == {(0, 0, 0): 1}
+    # three nested loops are planar: (1 + y)^3
+    assert coeffs("three nested loops") == {(0, 0, 0): 1, (0, 1, 0): 3, (0, 2, 0): 3, (0, 3, 0): 1}
+    # any two interleaved loops form a torus: 1 + 3y + 3y^2 z + y^3 z
+    assert coeffs("three interleaved loops") == {
+        (0, 0, 0): 1, (0, 1, 0): 3, (0, 2, 1): 3, (0, 3, 1): 1,
+    }
+    assert coeffs("path") == {(3, 0, 0): 1, (2, 0, 0): 3, (1, 0, 0): 3, (0, 0, 0): 1}
+    assert coeffs("bridge between two loops") == {
+        (1, 0, 0): 1, (1, 1, 0): 2, (1, 2, 0): 1, (0, 0, 0): 1, (0, 1, 0): 2, (0, 2, 0): 1,
+    }
 
 
 def test_theorem_strand_count_random(random_batch):
@@ -123,7 +174,7 @@ def test_planar_tutte_counts_bicycles(planar_batch):
 
 
 def test_tutte_routes_agree(torus_grid, random_batch):
-    # tutte_eval enumerates the rank polynomial; the BRT sweep at z = 1 is its check
+    # tutte_eval enumerates the rank polynomial; the BRT polynomial at z = 1 is its check
     rng = Random(3)
     for g in [torus_grid, *random_batch[:60]]:
         brt = brt_polynomial(g)
@@ -145,6 +196,19 @@ def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
     assert main(["tutte", "--eval", "-1", "-1", str(path)]) == 0
     assert capsys.readouterr().out == f"{want}\n"
+
+
+def test_brt_traces_no_per_subset_faces(monkeypatch, torus_grid, tmp_path, capsys):
+    def no_face_tracing(self):
+        raise AssertionError("a subset's faces were re-traced")
+
+    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_face_tracing)
+    assert dict(brt_polynomial(torus_grid).coeffs) == TORUS_GRID_BRT
+    assert medial_component_count_via_brt(torus_grid) == 3
+    path = tmp_path / "torus_grid.rot"
+    path.write_text(fixture_text("torus_grid"), encoding="utf-8")
+    assert main(["brt", str(path), "--eval", "-2", "-2", "1/4"]) == 0
+    assert capsys.readouterr().out == "-4\n"
 
 
 def test_polynomial_string():

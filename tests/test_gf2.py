@@ -11,7 +11,7 @@ from bicolorgame.gf2 import GF2Matrix
 
 
 def mat(rows, ncols=None):
-    return GF2Matrix.from_bits(rows, ncols)
+    return GF2Matrix.from_strings(("".join(map(str, bits)) for bits in rows), ncols)
 
 
 def random_matrix(rng: Random, nrows: int, ncols: int) -> GF2Matrix:

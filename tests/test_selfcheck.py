@@ -146,3 +146,24 @@ def test_strand_lemma_fails_on_an_edge_crossed_three_times(monkeypatch, torus_gr
     result = selfcheck.check_strand_lemma(torus_grid)
     assert not result.ok
     assert result.detail == "edge 0 not crossed exactly twice"
+
+
+def test_rank_oracle_fails_on_one_face_delta_flipped(monkeypatch, torus_grid):
+    # A subset whose face delta flips from -1 to +1 has two more faces and
+    # one genus less; z = 1 cannot see it, the sweep in three variables can.
+    real = selfcheck.brt_polynomial
+
+    def brt_polynomial(h):
+        coeffs = dict(real(h).coeffs)
+        a, b, c = next(key for key in sorted(coeffs) if key[2] > 0)
+        coeffs[(a, b, c)] -= 1
+        coeffs[(a, b, c - 1)] = coeffs.get((a, b, c - 1), 0) + 1
+        return TrivariatePolynomial(coeffs)
+
+    assert selfcheck.check_rank_oracle(torus_grid).ok
+    monkeypatch.setattr(selfcheck, "brt_polynomial", brt_polynomial)
+    broken = brt_polynomial(torus_grid)
+    assert broken.specialize_z_one() == selfcheck.whitney_rank_polynomial(torus_grid)
+    result = selfcheck.check_rank_oracle(torus_grid)
+    assert not result.ok
+    assert result.detail == "BRT differs from the sweep"
