@@ -29,16 +29,16 @@ print(f"  dual co-tree C    {tc.cotree_edges}")
 print(f"  leftover (2g)     {tc.leftover_edges}")
 print()
 
-hm = fundamental_dual_cycles(g, tc)
+cycles = fundamental_dual_cycles(g, tc)
 print("Fundamental cycles closed by the leftover edges (edge coordinates):")
-for j, row in zip(tc.leftover_edges, hm.cycle_matrix().row_strings()):
+for j, row in zip(tc.leftover_edges, cycles.row_strings()):
     print(f"  edge {j}: {row}")
 print()
 
 mc = trace_medial(g)
 print("Homology images of the strand vectors:")
 for i, v in enumerate(mc.trace_vectors):
-    image = homology_image(g, hm, v)
+    image = homology_image(g, cycles, v)
     print(f"  strand {i} -> {vector_to_string(image, len(tc.leftover_edges))}")
 print()
 

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .gf2 import GF2Matrix
 from .homology import (
-    HomologyMap,
     TreeCotree,
     class_count_homology,
     fundamental_dual_cycles,
@@ -70,7 +69,6 @@ __all__ = [
     "EmbeddedGraph",
     "FaceSet",
     "GF2Matrix",
-    "HomologyMap",
     "MedialComponents",
     "OrbitCensus",
     "RepresentativeSet",

@@ -29,10 +29,8 @@ from .errors import EdgeCapError, InternalInvariantError
 
 DEFAULT_EDGE_CAP = 26
 
-Rational = Fraction
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrivariatePolynomial:
     """Integer polynomial in x, y, z keyed by exponent triples (a, b, c)."""
 
@@ -45,12 +43,7 @@ class TrivariatePolynomial:
                 raise ValueError("negative exponent")
         object.__setattr__(self, "coeffs", clean)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrivariatePolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def evaluate(self, x: Rational, y: Rational, z: Rational) -> Rational:
+    def evaluate(self, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
         total = Fraction(0)
         for (a, b, c), coeff in self.coeffs.items():
@@ -283,8 +276,8 @@ def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) 
 
 
 def tutte_eval(
-    g: EmbeddedGraph, x: Rational, y: Rational, edge_cap: int = DEFAULT_EDGE_CAP
-) -> Rational:
+    g: EmbeddedGraph, x: Fraction, y: Fraction, edge_cap: int = DEFAULT_EDGE_CAP
+) -> Fraction:
     """Tutte polynomial value T(x, y) = R(x-1, y-1), R the rank polynomial.
 
     T(x, y) = BRT(x-1, y-1, 1), and z = 1 erases the genus exponent, so

@@ -179,17 +179,17 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         tc = homology.tree_cotree(g, tree_edges=args.tree)
     except ValueError as exc:
         raise InvalidGraphError(str(exc)) from None
-    hm = homology.fundamental_dual_cycles(g, tc)
-    basis, images = homology.strand_image_matrix(g, tc)
+    cycles = homology.fundamental_dual_cycles(g, tc)
+    basis, images = homology.strand_image_matrix(g, cycles)
     b = basis.nrows - gf2.rank(images)
     count = 1 << (2 * g.genus + b)
-    cycles, image_rows = hm.cycle_matrix().row_strings(), images.row_strings()
+    cycle_rows, image_rows = cycles.row_strings(), images.row_strings()
     doc = {
         "command": "homology",
         "tree_edges": list(tc.tree_edges),
         "cotree_edges": list(tc.cotree_edges),
         "leftover_edges": list(tc.leftover_edges),
-        "fundamental_cycles": cycles,
+        "fundamental_cycles": cycle_rows,
         "strand_images": image_rows,
         "kernel_dim": b,
         "genus": g.genus,
@@ -200,7 +200,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
         "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
     ]
-    for i, s in enumerate(cycles):
+    for i, s in enumerate(cycle_rows):
         lines.append(f"cycle {i}: {s}")
     for i, s in enumerate(image_rows):
         lines.append(f"strand image {i}: {s}")

@@ -262,17 +262,6 @@ class EmbeddedGraph:
 
     # -- spanning sub-ribbons ------------------------------------------------
 
-    @cached_property
-    def _dense(self) -> tuple:
-        """Dart-indexed arrays used by the subset enumeration hot loop."""
-        dart_ids = sorted(self.alpha)
-        index_of = {d: i for i, d in enumerate(dart_ids)}
-        alpha_ix = tuple(index_of[self.alpha[d]] for d in dart_ids)
-        edge_ix = tuple(self.dart_edge[d] for d in dart_ids)
-        rot_ix = tuple(tuple(index_of[d] for d in rot) for rot in self.rotations)
-        endpoints = tuple(self.edge_endpoints(j) for j in range(self.edge_count))
-        return dart_ids, alpha_ix, edge_ix, rot_ix, endpoints
-
     def subset_counter(self) -> Callable[[int], tuple[int, int]]:
         """Return a function mapping an edge bitmask to (k(H), f(H)).
 
@@ -282,7 +271,11 @@ class EmbeddedGraph:
         callable owns its scratch buffers, so each call site is
         independent and safe to use concurrently.
         """
-        _, alpha_ix, edge_ix, rot_ix, endpoints = self._dense
+        index_of = {d: i for i, d in enumerate(sorted(self.alpha))}
+        alpha_ix = [index_of[self.alpha[d]] for d in index_of]
+        edge_ix = [self.dart_edge[d] for d in index_of]
+        rot_ix = [[index_of[d] for d in rot] for rot in self.rotations]
+        endpoints = [self.edge_endpoints(j) for j in range(self.edge_count)]
         nv = self.vertex_count
         nd = len(alpha_ix)
         sigma_sub = [0] * nd
@@ -336,15 +329,6 @@ class EmbeddedGraph:
             return k, faces
 
         return count
-
-    def sub_ribbon_face_count(self, edges: Iterable[int]) -> int:
-        """Faces of the ribbon subgraph on the given edge indices."""
-        mask = 0
-        for j in edges:
-            if not 0 <= j < self.edge_count:
-                raise ValueError(f"edge index {j} out of range")
-            mask |= 1 << j
-        return self.subset_counter()(mask)[1]
 
 
 # -- text format -------------------------------------------------------------

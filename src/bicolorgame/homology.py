@@ -30,17 +30,6 @@ class TreeCotree:
     leftover_edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HomologyMap:
-    """The dual fundamental cycles, one per leftover edge, as edge bitsets."""
-
-    edge_count: int
-    cycles: tuple[int, ...]
-
-    def cycle_matrix(self) -> GF2Matrix:
-        return GF2Matrix(self.edge_count, self.cycles)
-
-
 def tree_cotree(
     g: EmbeddedGraph,
     tree_edges: tuple[int, ...] | None = None,
@@ -90,8 +79,8 @@ def tree_cotree(
     return TreeCotree(tuple(sorted(tree)), tuple(sorted(cotree)), leftover)
 
 
-def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> HomologyMap:
-    """For each leftover edge, the unique cycle it closes in the co-tree."""
+def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> GF2Matrix:
+    """Row i: the unique cycle that ``tc.leftover_edges[i]`` closes in the co-tree."""
     dual = g.dual()
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(dual.vertex_count)}
     for j in tc.cotree_edges:
@@ -118,10 +107,10 @@ def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> HomologyMap:
                 raise InternalInvariantError("co-tree does not connect the dual endpoints")
             cycle |= path_bits
         cycles.append(cycle)
-    return HomologyMap(g.edge_count, tuple(cycles))
+    return GF2Matrix(g.edge_count, tuple(cycles))
 
 
-def homology_image(g: EmbeddedGraph, hm: HomologyMap, u: int) -> int:
+def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
     """Image of a cycle u in H_1: inner products with the fundamental cycles.
 
     The formula is only well defined on the cycle space, so membership is
@@ -133,33 +122,28 @@ def homology_image(g: EmbeddedGraph, hm: HomologyMap, u: int) -> int:
         if gf2.dot(row, u):
             raise ValueError("vector is not in the cycle space")
     image = 0
-    for i, p in enumerate(hm.cycles):
+    for i, p in enumerate(cycles.rows):
         if gf2.dot(p, u):
             image |= 1 << i
     return image
 
 
-def strand_image_matrix(
-    g: EmbeddedGraph, tc: TreeCotree | None = None
-) -> tuple[GF2Matrix, GF2Matrix]:
-    """(strand basis, its homology images); rows correspond pairwise."""
-    if tc is None:
-        tc = tree_cotree(g)
-    hm = fundamental_dual_cycles(g, tc)
+def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
+    """(strand basis, its homology images against ``cycles``); rows correspond pairwise."""
     basis = strand_space(trace_medial(g))
-    images = tuple(homology_image(g, hm, v) for v in basis.rows)
-    return basis, GF2Matrix(len(tc.leftover_edges), images)
+    images = tuple(homology_image(g, cycles, v) for v in basis.rows)
+    return basis, GF2Matrix(cycles.nrows, images)
 
 
 def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
     """b: dimension of the homology kernel restricted to the strand space."""
-    basis, images = strand_image_matrix(g, tc)
+    basis, images = strand_image_matrix(g, fundamental_dual_cycles(g, tc or tree_cotree(g)))
     return basis.nrows - gf2.rank(images)
 
 
 def strand_kernel_basis(g: EmbeddedGraph, tc: TreeCotree | None = None) -> GF2Matrix:
     """Basis (in edge coordinates) of the strand vectors that die in homology."""
-    basis, images = strand_image_matrix(g, tc)
+    basis, images = strand_image_matrix(g, fundamental_dual_cycles(g, tc or tree_cotree(g)))
     kernel_coeffs = gf2.kernel_basis(gf2.transpose(images))
     vectors = []
     for combo in kernel_coeffs.rows:

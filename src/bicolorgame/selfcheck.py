@@ -115,7 +115,7 @@ def check_strand_lemma(g: EmbeddedGraph) -> CheckResult:
     for j in range(g.edge_count):
         if mc.crossings[j] != 2:
             return CheckResult("strand-lemma", False, f"edge {j} not crossed exactly twice")
-    if gf2.rank(strand_space(mc)) != mc.count - 1:
+    if gf2.rank(mc.trace_matrix()) != mc.count - 1:
         return CheckResult("strand-lemma", False, "strand space has wrong dimension")
     cycles = gf2.kernel_basis(g.incidence_matrix)
     dual_cycles = gf2.kernel_basis(g.dual_incidence_matrix)
@@ -171,10 +171,8 @@ def check_tree_choice_invariance(g: EmbeddedGraph, trials: int = 3) -> CheckResu
 
 def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
     want = gf2.rank(gf2.stack(g.incidence_matrix, g.dual_incidence_matrix))
-    face_of = g.faces.face_of_dart
     for v in range(g.vertex_count):
-        incident = sorted({face_of[d] for d in g.rotations[v]}) or list(range(g.face_count))
-        for f in incident:
+        for f in spaces.incident_faces(g, v):
             if gf2.rank(spaces.bot_matrix(g, v, f)) != want:
                 return CheckResult("bot-rank", False, f"pair (v={v}, f={f})")
     return CheckResult("bot-rank", True, f"rank={want}")

@@ -116,6 +116,12 @@ def class_signature(g: EmbeddedGraph, w: int) -> int:
     return sig
 
 
+def incident_faces(g: EmbeddedGraph, vertex: int) -> list[int]:
+    """The faces around a vertex, ascending; every face when it has no darts."""
+    face_of = g.faces.face_of_dart
+    return sorted({face_of[d] for d in g.rotations[vertex]}) or list(range(g.face_count))
+
+
 def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = None) -> GF2Matrix:
     """Both incidence matrices stacked with one row deleted from each.
 
@@ -128,10 +134,7 @@ def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = N
         vertex = 0
     if not 0 <= vertex < g.vertex_count:
         raise IndexError(f"vertex index {vertex} out of range")
-    face_of = g.faces.face_of_dart
-    incident = sorted({face_of[d] for d in g.rotations[vertex]})
-    if not incident:
-        incident = list(range(g.face_count))  # edgeless graph: every face qualifies
+    incident = incident_faces(g, vertex)
     if face is None:
         face = incident[0]
     if not 0 <= face < g.face_count:

@@ -74,9 +74,9 @@ def test_criterion_2_square_handles_fixture():
     assert strand_space(mc).nrows == 3
     tc = tree_cotree(g, tree_edges=(0, 2, 3, 4, 6))
     assert tc.cotree_edges == (1,)
-    hm = fundamental_dual_cycles(g, tc)
-    assert hm.cycle_matrix().row_strings() == ["00000100", "00000001"]
-    _, images = strand_image_matrix(g, tc)
+    cycles = fundamental_dual_cycles(g, tc)
+    assert cycles.row_strings() == ["00000100", "00000001"]
+    _, images = strand_image_matrix(g, cycles)
     assert gf2.rank(images) == 2
     assert strand_kernel_dim(g, tc) == 1
     assert spaces.class_count_direct(g) == 8

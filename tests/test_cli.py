@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from bicolorgame import cli, homology
 from bicolorgame.cli import main
 from bicolorgame.fixtures import fixture_text
 
@@ -83,6 +85,26 @@ def test_homology_with_tree(capsys, paths):
     assert "cycle 1: 00000001" in out
     assert "kernel dim b    1" in out
     assert "8" in out
+
+
+def test_homology_builds_each_stage_once(capsys, paths, monkeypatch):
+    calls = Counter()
+
+    def count_calls(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("tree_cotree", "fundamental_dual_cycles", "trace_medial"):
+        count_calls(homology, name)
+    count_calls(cli, "trace_medial")
+    code, _ = run(capsys, "homology", "--tree", "0,2,3,4,6", paths["torus_square_handles"])
+    assert code == 0
+    assert calls == {"tree_cotree": 1, "fundamental_dual_cycles": 1, "trace_medial": 1}
 
 
 def test_reps(capsys, paths):

@@ -211,21 +211,24 @@ def test_incidence_column_parity(random_batch):
 
 
 def test_sub_ribbon_conventions(torus_grid):
-    assert torus_grid.sub_ribbon_face_count(range(9)) == 5
-    assert torus_grid.sub_ribbon_face_count([]) == 4
+    faces = torus_grid.subset_counter()
+    assert faces((1 << 9) - 1)[1] == 5
+    assert faces(0)[1] == 4
 
 
 def test_sub_ribbon_boundary_cases_random(random_batch):
     for g in random_batch[:50]:
-        assert g.sub_ribbon_face_count(range(g.edge_count)) == g.face_count
-        assert g.sub_ribbon_face_count([]) == g.vertex_count
+        faces = g.subset_counter()
+        assert faces((1 << g.edge_count) - 1)[1] == g.face_count
+        assert faces(0)[1] == g.vertex_count
 
 
 def test_sub_ribbon_rose_single_loop(torus_rose):
     # deleting one loop of the interleaved pair leaves a planar loop: 2 faces
-    assert torus_rose.sub_ribbon_face_count([0]) == 2
-    assert torus_rose.sub_ribbon_face_count([1]) == 2
-    assert torus_rose.sub_ribbon_face_count([0, 1]) == 1
+    faces = torus_rose.subset_counter()
+    assert faces(0b01)[1] == 2
+    assert faces(0b10)[1] == 2
+    assert faces(0b11)[1] == 1
 
 
 def test_sub_ribbon_bridge_column():
@@ -253,9 +256,4 @@ def test_sub_ribbon_matches_full_subgraph(random_batch):
         except InvalidGraphError:
             continue  # disconnected subgraph: no single-graph comparison
         expected = sub.face_count
-        assert g.sub_ribbon_face_count(edges) == expected
-
-
-def test_edge_index_out_of_range(torus_grid):
-    with pytest.raises(ValueError):
-        torus_grid.sub_ribbon_face_count([42])
+        assert g.subset_counter()(mask)[1] == expected

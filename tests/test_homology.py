@@ -88,20 +88,20 @@ def test_replayed_tree_choice(square_handles):
 
 def test_fundamental_cycles_replayed_tree(square_handles):
     tc = tree_cotree(square_handles, tree_edges=(0, 2, 3, 4, 6))
-    hm = fundamental_dual_cycles(square_handles, tc)
-    assert hm.cycle_matrix().row_strings() == ["00000100", "00000001"]
+    cycles = fundamental_dual_cycles(square_handles, tc)
+    assert cycles.row_strings() == ["00000100", "00000001"]
 
 
 def test_strand_images_replayed_tree(square_handles):
     tc = tree_cotree(square_handles, tree_edges=(0, 2, 3, 4, 6))
-    hm = fundamental_dual_cycles(square_handles, tc)
+    cycles = fundamental_dual_cycles(square_handles, tc)
     mc = trace_medial(square_handles)
     images = [
-        gf2.vector_to_string(homology_image(square_handles, hm, v), 2)
+        gf2.vector_to_string(homology_image(square_handles, cycles, v), 2)
         for v in mc.trace_vectors
     ]
     assert images == ["10", "10", "01", "01"]
-    _, image_matrix = strand_image_matrix(square_handles, tc)
+    _, image_matrix = strand_image_matrix(square_handles, cycles)
     assert gf2.rank(image_matrix) == 2
     assert strand_kernel_dim(square_handles, tc) == 1
 
@@ -133,7 +133,7 @@ def test_tree_graph_decomposition():
     assert tc.tree_edges == (0, 1)
     assert tc.cotree_edges == ()
     assert tc.leftover_edges == ()
-    assert fundamental_dual_cycles(g, tc).cycles == ()
+    assert fundamental_dual_cycles(g, tc).rows == ()
 
 
 def test_default_tree_is_the_prim_tree(random_batch, large_graphs):
@@ -177,8 +177,8 @@ def test_invalid_supplied_tree(square_handles):
 def test_cycles_lie_in_dual_cycle_space(random_batch):
     for g in random_batch[:40]:
         tc = tree_cotree(g)
-        hm = fundamental_dual_cycles(g, tc)
-        for j, p in zip(tc.leftover_edges, hm.cycles):
+        cycles = fundamental_dual_cycles(g, tc)
+        for j, p in zip(tc.leftover_edges, cycles.rows):
             assert (p >> j) & 1
             extra = p & ~(1 << j)
             allowed = 0
@@ -191,27 +191,27 @@ def test_cycles_lie_in_dual_cycle_space(random_batch):
 
 def test_image_kills_dual_cuts(square_handles):
     tc = tree_cotree(square_handles)
-    hm = fundamental_dual_cycles(square_handles, tc)
+    cycles = fundamental_dual_cycles(square_handles, tc)
     for row in square_handles.dual_incidence_matrix.rows:
-        assert homology_image(square_handles, hm, row) == 0
-    assert homology_image(square_handles, hm, 0) == 0
+        assert homology_image(square_handles, cycles, row) == 0
+    assert homology_image(square_handles, cycles, 0) == 0
 
 
 def test_image_rejects_non_cycles(square_handles):
     tc = tree_cotree(square_handles)
-    hm = fundamental_dual_cycles(square_handles, tc)
+    cycles = fundamental_dual_cycles(square_handles, tc)
     with pytest.raises(ValueError, match="cycle space"):
-        homology_image(square_handles, hm, 1)  # a single edge is not a cycle here
+        homology_image(square_handles, cycles, 1)  # a single edge is not a cycle here
 
 
 def test_kernel_on_cycle_space_is_dual_cut_space(random_batch):
     for g in random_batch[:30]:
         tc = tree_cotree(g)
-        hm = fundamental_dual_cycles(g, tc)
+        fundamental = fundamental_dual_cycles(g, tc)
         cycles = gf2.kernel_basis(g.incidence_matrix)
         images = gf2.GF2Matrix(
             len(tc.leftover_edges),
-            tuple(homology_image(g, hm, v) for v in cycles.rows),
+            tuple(homology_image(g, fundamental, v) for v in cycles.rows),
         )
         kernel_dim = cycles.nrows - gf2.rank(images)
         assert kernel_dim == gf2.rank(g.dual_incidence_matrix)

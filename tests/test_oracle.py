@@ -8,9 +8,71 @@ import pytest
 
 from bicolorgame import spaces
 from bicolorgame.errors import EdgeCapError
-from bicolorgame.fixtures import load_fixture
+from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.homology import class_count_homology
 from bicolorgame.oracle import enumerate_classes, orbit_of
+
+
+def move_generators(g) -> list[int]:
+    return sorted((set(g.incidence_matrix.rows) | set(g.dual_incidence_matrix.rows)) - {0})
+
+
+def reference_orbit(g, w: int) -> set[int]:
+    """Reference: BFS closure that holds the whole orbit in a set."""
+    gens = move_generators(g)
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for gen in gens:
+                v = u ^ gen
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def reference_census(g) -> tuple[int, int, tuple[int, ...]]:
+    """Reference: (class count, orbit size, representatives) by an ascending sweep."""
+    gens = move_generators(g)
+    total = 1 << g.edge_count
+    visited = bytearray(total)
+    representatives = []
+    sizes = set()
+    for w in range(total):
+        if visited[w]:
+            continue
+        representatives.append(w)
+        size = 0
+        frontier = [w]
+        visited[w] = 1
+        while frontier:
+            nxt = []
+            for u in frontier:
+                size += 1
+                for gen in gens:
+                    v = u ^ gen
+                    if not visited[v]:
+                        visited[v] = 1
+                        nxt.append(v)
+            frontier = nxt
+        sizes.add(size)
+    (orbit_size,) = sizes
+    return len(representatives), orbit_size, tuple(representatives)
+
+
+def test_census_and_orbits_match_the_reference(random_batch, planar_batch):
+    rng = Random(23)
+    graphs = [load_fixture(name) for name in fixture_names()] + random_batch + planar_batch
+    for g in graphs:
+        census = enumerate_classes(g)
+        expected = reference_census(g)
+        assert (census.class_count, census.orbit_size, census.representatives) == expected
+        probes = census.representatives[:4] + (rng.randrange(1 << g.edge_count),)
+        for w in probes:
+            assert orbit_of(g, w) == reference_orbit(g, w)
 
 
 def test_torus_grid_census(torus_grid):

@@ -148,6 +148,23 @@ def test_strand_lemma_fails_on_an_edge_crossed_three_times(monkeypatch, torus_gr
     assert result.detail == "edge 0 not crossed exactly twice"
 
 
+def test_strand_lemma_reports_rank_deficient_strands(monkeypatch, torus_grid):
+    # (a, b, a, b) sums to zero and crosses every edge twice, but spans only
+    # two dimensions where four strands need three.
+    real = selfcheck.trace_medial
+
+    def trace_medial(h):
+        mc = real(h)
+        a, b = mc.trace_vectors[:2]
+        return dataclasses.replace(mc, trace_vectors=(a, b, a, b))
+
+    assert selfcheck.check_strand_lemma(torus_grid).ok
+    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    result = selfcheck.check_strand_lemma(torus_grid)
+    assert not result.ok
+    assert result.detail == "strand space has wrong dimension"
+
+
 def test_rank_oracle_fails_on_one_face_delta_flipped(monkeypatch, torus_grid):
     # A subset whose face delta flips from -1 to +1 has two more faces and
     # one genus less; z = 1 cannot see it, the sweep in three variables can.
