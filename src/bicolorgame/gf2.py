@@ -7,13 +7,13 @@ thousand columns costs a few dozen word operations.
 
 Every query (rank, kernel, membership, sum and intersection of row
 spaces) goes through one elimination, ``rref``.  It inserts the rows in
-their given order into a basis keyed by each row's lowest set bit,
-reducing a row against the basis row that owns its lowest bit until the
-bit is new, then back-substitutes from the highest pivot down.  Work
-grows with the fill-in that the insertion order produces, not with
-rows x columns, which keeps sparse incidence matrices cheap.  Since
-the order decides the fill-in, the Zassenhaus intersection feeds the
-rows [y | 0] of its second argument before the rows [x | x] of its first.
+ascending order of their lowest set bit into a basis keyed by pivot
+column, reducing a row against the basis row that owns its lowest bit
+until the bit is new, then back-substitutes from the highest pivot down.
+Work grows with the fill-in, not with rows x columns, which keeps sparse
+incidence matrices cheap.  The presort lowers the fill-in, and keying by
+the column index keeps each lookup cheap: a key of ``v & -v`` would be an
+int as wide as the row, which CPython hashes in a pass over its words.
 """
 
 from __future__ import annotations
@@ -93,33 +93,32 @@ def rref(m: GF2Matrix) -> tuple[GF2Matrix, tuple[int, ...]]:
     The reduced form of a row space is unique, so the output is
     canonical: rows in ascending pivot order, each pivot the row's
     lowest set bit and absent from every other row; zero rows are dropped.
+    Hence the input order is free: rows go in by ascending lowest set bit,
+    into a basis keyed by pivot column (the index of that bit).
     """
-    basis: dict[int, int] = {}  # lowest set bit -> row
-    for v in m.rows:
+    basis: dict[int, int] = {}  # pivot column -> row
+    for v in sorted(m.rows, key=lambda r: r & -r):
         while v:
-            low = v & -v
-            row = basis.get(low)
+            col = (v & -v).bit_length() - 1
+            row = basis.get(col)
             if row is None:
-                basis[low] = v
+                basis[col] = v
                 break
             v ^= row
     # Back-substitution from the highest pivot down: a reduced row holds
     # no pivot bit but its own, so each XOR clears exactly one bit of hit.
     pivots = sorted(basis)
     done = 0
-    for low in reversed(pivots):
-        r = basis[low]
+    for col in reversed(pivots):
+        r = basis[col]
         hit = r & done
         while hit:
             bit = hit & -hit
-            r ^= basis[bit]
+            r ^= basis[bit.bit_length() - 1]
             hit ^= bit
-        basis[low] = r
-        done |= low
-    return (
-        GF2Matrix(m.ncols, tuple(basis[low] for low in pivots)),
-        tuple(low.bit_length() - 1 for low in pivots),
-    )
+        basis[col] = r
+        done |= 1 << col
+    return GF2Matrix(m.ncols, tuple(basis[col] for col in pivots)), tuple(pivots)
 
 
 def rank(m: GF2Matrix) -> int:
@@ -158,10 +157,6 @@ def row_space_intersection_basis(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
     Rows [x | x] for a and [y | 0] for b are reduced together; surviving
     rows whose left block vanished carry the intersection in the right block.
-    The b rows go in first.  The result does not depend on the order, but
-    the fill-in does: for the bicycle space (a = incidence rows, b = a
-    cycle basis) of a 2500-edge high-genus graph, b first eliminates
-    about 7x faster than a first.
     """
     if a.ncols != b.ncols:
         raise ValueError(f"column mismatch: {a.ncols} vs {b.ncols}")

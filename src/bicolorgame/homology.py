@@ -114,13 +114,24 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
     """Image of a cycle u in H_1: inner products with the fundamental cycles.
 
     The formula is only well defined on the cycle space, so membership is
-    checked rather than trusted.
+    checked rather than trusted: u is a cycle iff every vertex meets an
+    even number of its edges.  One pass over the set bits of u toggles the
+    parity of both endpoints of each edge; a loop toggles its vertex twice
+    and cancels, like its zero incidence column.
     """
     if u < 0 or u >> g.edge_count:
         raise ValueError("vector length does not match the edge count")
-    for row in g.incidence_matrix.rows:
-        if gf2.dot(row, u):
-            raise ValueError("vector is not in the cycle space")
+    parity = bytearray(g.vertex_count)
+    vertex_of = g.dart_vertex
+    rest = u
+    while rest:
+        low = rest & -rest
+        a, b = g.edge_darts[low.bit_length() - 1]
+        parity[vertex_of[a]] ^= 1
+        parity[vertex_of[b]] ^= 1
+        rest ^= low
+    if 1 in parity:
+        raise ValueError("vector is not in the cycle space")
     image = 0
     for i, p in enumerate(cycles.rows):
         if gf2.dot(p, u):

@@ -21,6 +21,7 @@ from .brt import (
     whitney_rank_polynomial,
 )
 from .embedded import EmbeddedGraph
+from .errors import InternalInvariantError
 from .homology import class_count_homology, strand_kernel_basis, strand_kernel_dim, tree_cotree
 from .medial import strand_space, trace_medial
 from .oracle import enumerate_classes
@@ -137,7 +138,11 @@ def check_component_count_identity(g: EmbeddedGraph) -> CheckResult:
 
 def check_inclusions(g: EmbeddedGraph) -> CheckResult:
     inter = gf2.row_space_intersection_basis(g.incidence_matrix, g.dual_incidence_matrix)
-    strands = strand_space(trace_medial(g))
+    mc = trace_medial(g)
+    try:
+        strands = strand_space(mc)
+    except InternalInvariantError as exc:
+        return CheckResult("inclusion-chain", False, f"no strand space: {exc}")
     cycles = gf2.kernel_basis(g.incidence_matrix)
     dual_cycles = gf2.kernel_basis(g.dual_incidence_matrix)
     both = gf2.row_space_intersection_basis(cycles, dual_cycles)

@@ -255,8 +255,47 @@ def kernel_cases():
                 yield incidence_like(rng, nrows, ncols)
 
 
-def test_rref_equals_column_sweep():
+def sum_rows(rows) -> int:
+    total = 0
+    for r in rows:
+        total ^= r
+    return total
+
+
+def zassenhaus_layouts():
+    """The intersection's stacked [y | 0] and [x | x] rows, in both orders."""
+    rng = Random(0x2A55)
+    for n in (1, 8, 63, 64, 65, 120):
+        for _ in range(3):
+            a = incidence_like(rng, rng.randint(2, n + 2), n)
+            # half of b's rows are sums of a's rows, so the intersection is not trivial
+            b = []
+            for _ in range(rng.randint(0, n)):
+                picks = [x for x in a.rows if rng.random() < 0.5]
+                b.append(sum_rows(picks) if rng.random() < 0.5 else rng.getrandbits(n))
+            right = tuple(x | (x << n) for x in a.rows)
+            yield GF2Matrix(2 * n, tuple(b) + right)
+            yield GF2Matrix(2 * n, right + tuple(b))
+
+
+def rref_cases():
+    """``kernel_cases`` with their rows reversed and shuffled, and Zassenhaus layouts.
+
+    The elimination sorts its input rows, so every row order must give
+    the same canonical result.
+    """
+    rng = Random(0x5EED)
     for m in kernel_cases():
+        yield m
+        yield GF2Matrix(m.ncols, m.rows[::-1])
+        shuffled = list(m.rows)
+        rng.shuffle(shuffled)
+        yield GF2Matrix(m.ncols, tuple(shuffled))
+    yield from zassenhaus_layouts()
+
+
+def test_rref_equals_column_sweep():
+    for m in rref_cases():
         red, pivots = gf2.rref(m)
         assert (red.rows, pivots) == sweep_rref(m), m
         assert red.ncols == m.ncols

@@ -204,6 +204,28 @@ def test_image_rejects_non_cycles(square_handles):
         homology_image(square_handles, cycles, 1)  # a single edge is not a cycle here
 
 
+def test_image_raises_exactly_off_the_cycle_space(random_batch):
+    # Random vectors, cycle-basis vectors, and cycles plus loop edges (a
+    # loop is a cycle on its own), against the incidence-row definition.
+    rng = Random(0xC1C)
+    for g in random_batch:
+        cycles = fundamental_dual_cycles(g, tree_cotree(g))
+        loops = [j for j in range(g.edge_count) if len(set(g.edge_endpoints(j))) == 1]
+        kernel = gf2.kernel_basis(g.incidence_matrix).rows
+        vectors = [rng.getrandbits(g.edge_count) for _ in range(8)] + list(kernel)
+        for v in kernel:
+            vectors += [v ^ (1 << j) for j in loops]
+            vectors.append(v ^ rng.getrandbits(g.edge_count))
+        for u in vectors:
+            odd = any(gf2.dot(row, u) for row in g.incidence_matrix.rows)
+            if odd:
+                with pytest.raises(ValueError, match="not in the cycle space"):
+                    homology_image(g, cycles, u)
+            else:
+                image = homology_image(g, cycles, u)
+                assert image == sum(gf2.dot(p, u) << i for i, p in enumerate(cycles.rows))
+
+
 def test_kernel_on_cycle_space_is_dual_cut_space(random_batch):
     for g in random_batch[:30]:
         tc = tree_cotree(g)

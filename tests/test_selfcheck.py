@@ -165,6 +165,28 @@ def test_strand_lemma_reports_rank_deficient_strands(monkeypatch, torus_grid):
     assert result.detail == "strand space has wrong dimension"
 
 
+def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypatch, torus_grid):
+    # The (a, b, a, b) trace above: strand_space raises on it, and the run
+    # must report that as a failed check rather than abort.
+    real = selfcheck.trace_medial
+
+    def trace_medial(h):
+        mc = real(h)
+        a, b = mc.trace_vectors[:2]
+        return dataclasses.replace(mc, trace_vectors=(a, b, a, b))
+
+    assert not selfcheck.failed_checks(selfcheck.run_all_checks(torus_grid))
+    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    results = selfcheck.run_all_checks(torus_grid)
+    assert len(results) == len(selfcheck.ALL_CHECKS) == 14
+    failed = {r.name: r.detail for r in selfcheck.failed_checks(results)}
+    assert failed == {
+        "strand-lemma": "strand space has wrong dimension",
+        "polynomial-strand-count": "poly=3 trace=4",
+        "inclusion-chain": "no strand space: strand trace vectors are rank deficient",
+    }
+
+
 def test_rank_oracle_fails_on_one_face_delta_flipped(monkeypatch, torus_grid):
     # A subset whose face delta flips from -1 to +1 has two more faces and
     # one genus less; z = 1 cannot see it, the sweep in three variables can.
