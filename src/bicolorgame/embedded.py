@@ -14,16 +14,20 @@ Text format (``#`` starts a comment)::
     edges <m>
     e <j>: <dart> <dart>        # one line per edge j = 0..m-1
 
-Darts are distinct non-negative integers; edge index j is GF(2)
-coordinate j throughout the package.
+Tokens are separated by whitespace.  Counts and indices are 1 to 18
+ASCII digits; a dart is an optional ``-`` followed by 1 to 18 ASCII
+digits.  Darts must be distinct and non-negative: a negative dart is
+accepted by the parser and rejected by validation, which names it.  Edge
+index j is GF(2) coordinate j throughout the package.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import InternalInvariantError, InvalidGraphError, RotationParseError
 from .gf2 import GF2Matrix
@@ -64,7 +68,7 @@ class EmbeddedGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "rotations", tuple(tuple(int(d) for d in rot) for rot in self.rotations)
+            self, "rotations", tuple(tuple(map(int, rot)) for rot in self.rotations)
         )
         object.__setattr__(
             self, "edge_darts", tuple((int(a), int(b)) for a, b in self.edge_darts)
@@ -333,105 +337,84 @@ class EmbeddedGraph:
 
 # -- text format -------------------------------------------------------------
 
-_MAX_DIGITS = 18  # a larger count, index or dart could not fit in memory anyway
+# At most 18 digits: a larger count, index or dart could not fit in memory
+# anyway, and int() never sees a long token.  A dart may carry a sign so
+# that validation can name a negative dart.  A line's darts are checked
+# at once, joined by single spaces: one match instead of one per dart.
+_NATURAL = re.compile("[0-9]{1,18}")
+_DART = "-?[0-9]{1,18}"
+_DARTS = re.compile(f"(?:{_DART}(?: {_DART})*)?")
 
-
-def _natural(token: str) -> int | None:
-    """A header count or line index: ASCII digits only, else None."""
-    if token.isascii() and token.isdigit() and len(token) <= _MAX_DIGITS:
-        return int(token)
-    return None
-
-
-def _indexed_line(
-    line: str, count: int, seen: dict, noun: str, usage: str, fail: Callable[[str], Exception]
-) -> tuple[int, tuple[int, ...]]:
-    """Index and darts of a ``v <i>: ...`` or ``e <j>: ...`` line."""
-    head, _, tail = line.partition(":")
-    fields = head.split()
-    i = _natural(fields[1]) if len(fields) == 2 else None
-    if i is None:
-        raise fail(f"expected {usage}")
-    if not 0 <= i < count:
-        raise fail(f"{noun} index {i} out of range")
-    if i in seen:
-        raise fail(f"repeated {noun} {i}")
-    darts = []
-    for token in tail.split():
-        # A sign is let through so that validation can name a negative dart.
-        negative = token.startswith("-")
-        d = _natural(token[1:] if negative else token)
-        if d is None:
-            raise fail("darts must be integers")
-        darts.append(-d if negative else d)
-    return i, tuple(darts)
+# line keyword -> header, header usage, noun, line usage, missing-line wording
+_LINE_KINDS = {
+    "v": ("vertices", "'vertices <n>'", "vertex", "'v <i>: <darts...>'",
+          "rotation lines for vertices"),
+    "e": ("edges", "'edges <m>'", "edge", "'e <j>: <dart> <dart>'",
+          "edge lines for edges"),
+}
+_HEADERS = {kind[0]: word for word, kind in _LINE_KINDS.items()}
 
 
 def parse_rotation_system(text: str) -> EmbeddedGraph:
-    """Parse the rotation-system text format into a validated graph."""
-    vertex_count: int | None = None
-    edge_count: int | None = None
-    rotations: dict[int, tuple[int, ...]] = {}
-    edges: dict[int, tuple[int, int]] = {}
+    """Parse the rotation-system text format into a validated graph.
 
+    Each line either passes every check of its kind and is stored, or
+    falls through to the one ``raise`` with the first check it failed.
+    """
+    counts: dict[str, int] = {}  # line keyword -> the count in its header
+    found: dict[str, dict[int, tuple[int, ...]]] = {word: {} for word in _LINE_KINDS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-
-        def fail(msg: str) -> RotationParseError:
-            return RotationParseError(f"line {lineno}: {msg}")
-
         parts = line.split()
-        if parts[0] == "vertices":
-            if vertex_count is not None:
-                raise fail("repeated 'vertices' header")
-            vertex_count = _natural(parts[1]) if len(parts) == 2 else None
-            if vertex_count is None:
-                raise fail("expected 'vertices <n>'")
-        elif parts[0] == "edges":
-            if edge_count is not None:
-                raise fail("repeated 'edges' header")
-            edge_count = _natural(parts[1]) if len(parts) == 2 else None
-            if edge_count is None:
-                raise fail("expected 'edges <m>'")
-        elif parts[0] == "v":
-            if vertex_count is None:
-                raise fail("'v' line before 'vertices' header")
-            i, darts = _indexed_line(
-                line, vertex_count, rotations, "vertex", "'v <i>: <darts...>'", fail
-            )
-            rotations[i] = darts
-        elif parts[0] == "e":
-            if edge_count is None:
-                raise fail("'e' line before 'edges' header")
-            j, darts = _indexed_line(
-                line, edge_count, edges, "edge", "'e <j>: <dart> <dart>'", fail
-            )
-            if len(darts) != 2:
-                raise fail("an edge needs exactly two darts")
-            edges[j] = (darts[0], darts[1])
+        word = parts[0]
+        if word in _HEADERS:
+            kind = _HEADERS[word]
+            if kind in counts:
+                error = f"repeated {word!r} header"
+            elif len(parts) != 2 or not _NATURAL.fullmatch(parts[1]):
+                error = f"expected {_LINE_KINDS[kind][1]}"
+            else:
+                counts[kind] = int(parts[1])
+                continue
+        elif word in _LINE_KINDS:
+            header, _, noun, usage, _ = _LINE_KINDS[word]
+            head, _, tail = line.partition(":")
+            fields, darts, lines = head.split(), tail.split(), found[word]
+            if word not in counts:
+                error = f"{word!r} line before {header!r} header"
+            elif len(fields) != 2 or not _NATURAL.fullmatch(fields[1]):
+                error = f"expected {usage}"
+            elif (i := int(fields[1])) >= counts[word]:
+                error = f"{noun} index {i} out of range"
+            elif i in lines:
+                error = f"repeated {noun} {i}"
+            elif not _DARTS.fullmatch(" ".join(darts)):
+                error = "darts must be integers"
+            elif word == "e" and len(darts) != 2:
+                error = "an edge needs exactly two darts"
+            else:
+                lines[i] = tuple(map(int, darts))
+                continue
         else:
             shown = line if len(line) <= 40 else line[:40] + "..."
-            raise fail(f"unrecognized line {shown!r}")
+            error = f"unrecognized line {shown!r}"
+        raise RotationParseError(f"line {lineno}: {error}")
 
-    if vertex_count is None or edge_count is None:
+    if len(counts) < len(_LINE_KINDS):
         raise RotationParseError("missing 'vertices' or 'edges' header")
-    # Lazy scans: each stops after _LISTED gaps, so it visits at most
-    # len(lines seen) + _LISTED indices however large the header count is.
-    if len(rotations) < vertex_count:
-        missing = _listing(
-            (i for i in range(vertex_count) if i not in rotations), vertex_count - len(rotations)
-        )
-        raise RotationParseError(f"missing rotation lines for vertices {missing}")
-    if len(edges) < edge_count:
-        missing = _listing(
-            (j for j in range(edge_count) if j not in edges), edge_count - len(edges)
-        )
-        raise RotationParseError(f"missing edge lines for edges {missing}")
+    for word, (*_, missing) in _LINE_KINDS.items():
+        count, lines = counts[word], found[word]
+        if len(lines) < count:
+            # Lazy: stops after _LISTED gaps, so it visits at most
+            # len(lines) + _LISTED indices however large the header count is.
+            gaps = (i for i in range(count) if i not in lines)
+            raise RotationParseError(f"missing {missing} {_listing(gaps, count - len(lines))}")
+    rotations, edges = found["v"], found["e"]
     return EmbeddedGraph(
-        tuple(rotations[i] for i in range(vertex_count)),
-        tuple(edges[j] for j in range(edge_count)),
+        tuple(rotations[i] for i in range(len(rotations))),
+        tuple(edges[j] for j in range(len(edges))),
     )
 
 

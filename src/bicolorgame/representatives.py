@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from . import gf2, spaces
 from .embedded import EmbeddedGraph
-from .errors import InternalInvariantError, UnsupportedError
+from .errors import EdgeCapError, InternalInvariantError, UnsupportedError
 from .medial import strand_space, trace_medial
+from .oracle import DEFAULT_EDGE_CAP
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,11 @@ class RepresentativeSet:
 
 
 def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
-    """Pick the distinguished edge set via echelon pivots of the strand basis."""
+    """Pick the distinguished edge set via echelon pivots of the strand basis.
+
+    The 2^(c-1) colorings are listed, so c - 1 may not exceed the orbit
+    sweep's cap: beyond it :class:`EdgeCapError` is raised before any is built.
+    """
     if g.genus != 0:
         raise UnsupportedError(
             "canonical representatives are only defined for plane graphs (genus 0)"
@@ -39,6 +44,11 @@ def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
     basis = strand_space(trace_medial(g))
     if not gf2.row_space_equal(basis, spaces.bicycle_space(g)):
         raise InternalInvariantError("strand space differs from the bicycle space at genus 0")
+    if basis.nrows > DEFAULT_EDGE_CAP:
+        raise EdgeCapError(
+            f"{basis.nrows} representative edges give 2^{basis.nrows} colorings;"
+            f" the cap is 2^{DEFAULT_EDGE_CAP}"
+        )
     reduced, pivots = gf2.rref(basis)
     # pivot columns: the reduced vector j has a 1 there and all others 0,
     # which is the required witness property in its strongest form

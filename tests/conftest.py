@@ -70,6 +70,18 @@ def shuffled_torus_grid(rng: Random, n: int) -> EmbeddedGraph:
     return EmbeddedGraph(tuple(rotations), tuple((2 * j, 2 * j + 1) for j in range(2 * n * n)))
 
 
+def digon_chain(k: int) -> EmbeddedGraph:
+    """k digons in a row in the plane: vertices 0..k, two parallel edges
+    between i and i + 1, so 2^k classes and 2k edges."""
+    rotations: list[list[int]] = [[] for _ in range(k + 1)]
+    for i in range(k):
+        a, b = 4 * i, 4 * i + 2
+        rotations[i] += [a, b]
+        rotations[i + 1] += [b + 1, a + 1]
+    edge_darts = tuple((d, d + 1) for d in range(0, 4 * k, 2))
+    return EmbeddedGraph(tuple(map(tuple, rotations)), edge_darts)
+
+
 def high_genus_graph(rng: Random) -> EmbeddedGraph:
     """The first ``random_embedded_graph`` draw with E >= 1000."""
     while True:

@@ -8,9 +8,11 @@ import sys
 from collections import Counter
 
 import pytest
+from conftest import digon_chain
 
 from bicolorgame import cli, homology
 from bicolorgame.cli import main
+from bicolorgame.embedded import format_rotation_system
 from bicolorgame.fixtures import fixture_text
 
 
@@ -272,6 +274,23 @@ def test_huge_header_count_needs_no_memory(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and len(proc.stderr) < 1024
+
+
+def test_reps_beyond_the_sweep_cap_needs_no_memory(tmp_path):
+    # 23 digons: 2^23 classes, so the full list of representatives is refused
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "digons.rot"
+    p.write_text(format_rotation_system(digon_chain(23)), encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bicolorgame.cli", "reps", str(p)],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("cap exceeded: ") and len(proc.stderr) < 1024
 
 
 @pytest.mark.parametrize(

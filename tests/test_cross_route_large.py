@@ -4,7 +4,8 @@ The oracle cannot follow at this size, so the two linear routes, the
 dimension identities and the tree-choice invariance are the check.  The
 graphs come from the ``large_graphs`` fixture, plus a 72x72 torus grid
 (E = 10368) on which only the two counts are compared: the Zassenhaus
-step of ``summarize`` still takes seconds there.
+step of ``summarize`` still takes seconds there.  Just above the
+enumeration caps, the whole identity list still runs and passes.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from conftest import shuffled_torus_grid
+from conftest import digon_chain, shuffled_torus_grid
 
 from bicolorgame import spaces
 from bicolorgame.homology import class_count_homology
-from bicolorgame.selfcheck import check_tree_choice_invariance
+from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
+from bicolorgame.selfcheck import ALL_CHECKS, check_tree_choice_invariance, run_all_checks
 
 LARGE = ("torus-grid-32", "random-high-genus")
 
@@ -46,3 +48,39 @@ def test_direct_and_homology_agree_at_ten_thousand_edges():
     g = shuffled_torus_grid(Random(72), 72)
     assert (g.vertex_count, g.edge_count, g.face_count, g.genus) == (5184, 10368, 5184, 1)
     assert spaces.class_count_direct(g) == class_count_homology(g) == 2**144
+
+
+def _draw(make, accept):
+    while True:
+        g = make()
+        if accept(g):
+            return g
+
+
+def test_all_checks_run_above_the_enumeration_caps():
+    rng = Random(30)
+    graphs = {
+        "random": _draw(
+            lambda: random_embedded_graph(rng, max_vertices=12, max_edges=30),
+            lambda g: g.edge_count == 30 and g.vertex_count >= 6 and g.genus > 0,
+        ),
+        "plane": _draw(
+            lambda: random_planar_graph(rng, max_edges=30), lambda g: g.edge_count == 30
+        ),
+        "digons-23": digon_chain(23),  # 2^23 classes: too many representatives to list
+    }
+    details = {}
+    for name, g in graphs.items():
+        results = run_all_checks(g)
+        assert len(results) == len(ALL_CHECKS) == 14
+        assert all(r.ok for r in results), (name, [r for r in results if not r.ok])
+        details[name] = {r.name: r.detail for r in results}
+        over = f"skipped ({g.edge_count} edges exceeds the enumeration cap 26)"
+        assert details[name]["polynomial-strand-count"] == over
+        assert details[name]["whitney-specialization"] == over
+    plane = details["plane"]["plane-structure"]
+    assert plane.startswith("bicycle dim=") and "T(-1,-1) skipped" in plane
+    assert "representatives" not in plane
+    assert details["digons-23"]["plane-structure"].endswith(
+        "; representatives skipped (2^23 exceeds the cap 2^22)"
+    )

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from conftest import digon_chain
 
 from bicolorgame import gf2, spaces
-from bicolorgame.errors import UnsupportedError
+from bicolorgame.errors import EdgeCapError, UnsupportedError
 from bicolorgame.fixtures import load_fixture
 from bicolorgame.medial import strand_space, trace_medial
 from bicolorgame.oracle import enumerate_classes
@@ -34,6 +35,15 @@ def test_tree_representatives():
 def test_positive_genus_rejected(torus_grid):
     with pytest.raises(UnsupportedError):
         planar_representatives(torus_grid)
+
+
+def test_digon_chain_colorings_stop_at_the_sweep_cap():
+    g = digon_chain(4)
+    assert spaces.class_count_direct(g) == 16
+    rs = planar_representatives(g)
+    assert len(rs.colorings) == 16 and verify_representatives(g, rs)
+    with pytest.raises(EdgeCapError, match="2\\^23 colorings"):
+        planar_representatives(digon_chain(23))
 
 
 def test_wrong_cardinality_fails_verification(two_triangles):
