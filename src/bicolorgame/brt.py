@@ -5,10 +5,14 @@ For a connected graph embedded on an orientable surface,
     BRT(x, y, z) = sum over edge subsets H of x^(k(H)-1) y^(n(H)) z^(g(H)),
 
 where k is the component count of the spanning subgraph, n = e - v + k its
-nullity, and g its genus as a ribbon subgraph.  The subsets are enumerated
-depth first, one edge added per level and undone on the way back, and each
-level updates k and the face count by a local rule instead of re-tracing
-faces; :func:`brt_by_sweep` re-traces every subset and is the oracle.  The
+nullity, and g its genus as a ribbon subgraph.  Bridges and trivial loops
+are factored out first: a bridge contributes a factor (1 + x) and a loop
+whose darts are adjacent in its rotation a factor (1 + y), since BRT is
+multiplicative over one-point joins (Bollobás & Riordan, Math. Ann. 2002).
+The subsets of what is left are enumerated depth first, one edge added per
+level and undone on the way back, and each level updates k and the face
+count by a local rule instead of re-tracing faces; :func:`brt_by_sweep`
+re-traces every subset of the whole graph and is the oracle.  The
 x variable is shifted by one relative to the oldest convention, so the
 Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1), which is Whitney's rank
 polynomial at (x-1, y-1): Tutte values need component counts only and come
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .embedded import EmbeddedGraph
@@ -88,7 +93,82 @@ def _check_cap(m: int, edge_cap: int) -> None:
 
 
 def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
-    """Count the 2^|E| spanning subsets H by (k(H), |H|, f(H)), depth first.
+    """Count the 2^|E| spanning subsets H by (k(H), |H|, f(H)).
+
+    Bridges and trivial loops are peeled off first (:func:`_peel`), the
+    core's subsets are counted depth first (:func:`_walk`), and the counts
+    are expanded back to ``g``.  A bridge in H adds one edge; a bridge not
+    in H adds a component and a face, since its two sides are then joined
+    at one point in the core.  A trivial loop in H adds an edge and a face
+    (it splits the face of its corner); a loop not in H adds nothing.
+    Without ``faces`` every loop is trivial and f(H) is reported as 0.
+    The walk counts each subset whose highest edge is the core's last by
+    the rule that updates k and f alone, without adding that edge, so half
+    of the core's 2^|E| subsets are never built.
+    """
+    core, bridges, loops = _peel(g, faces)
+    out: dict[tuple[int, int, int], int] = {}
+    for (k, e, f), count in _walk(core, faces).items():
+        for i in range(bridges + 1):  # bridges in H
+            for j in range(loops + 1):  # loops in H
+                key = (k + bridges - i, e + i + j, f + bridges - i + j if faces else 0)
+                out[key] = out.get(key, 0) + count * comb(bridges, i) * comb(loops, j)
+    return out
+
+
+def _peel(g: EmbeddedGraph, faces: bool) -> tuple[EmbeddedGraph, int, int]:
+    """The core left by peeling ``g``, with the numbers of bridges and loops peeled.
+
+    Every bridge is contracted: for its darts a at u and b at w, the merged
+    rotation is u's darts after a, then w's darts after b.  Then, with
+    ``faces``, each loop whose two darts are adjacent in the cyclic rotation
+    of their vertex is deleted, until none is left; without ``faces`` every
+    loop is deleted.  Contracting a bridge or deleting a loop never makes
+    or unmakes a bridge, so bridges are found once, and no bridge becomes a
+    loop.
+    """
+    nv, m = g.vertex_count, g.edge_count
+    alpha = g.alpha
+    home = dict(g.dart_vertex)
+    rotations: list[list[int] | None] = [list(rot) for rot in g.rotations]
+    bridges = [
+        j for j in g.spanning_forest(range(m))
+        if len(g.spanning_forest(i for i in range(m) if i != j)) < nv - 1
+    ]
+    for j in bridges:
+        a, b = g.edge_darts[j]
+        u, w = home[a], home[b]
+        ru, rw = rotations[u], rotations[w]
+        i, k = ru.index(a), rw.index(b)
+        rotations[u] = ru[i + 1:] + ru[:i] + rw[k + 1:] + rw[:k]
+        rotations[w] = None
+        for d in rw:
+            home[d] = u
+    core = []
+    for rot in rotations:
+        if rot is None:  # merged into another vertex
+            continue
+        if faces:
+            # reduce the cyclic dart word: deleting an adjacent loop can
+            # make the loop around it adjacent, on the stack or across the wrap
+            kept: list[int] = []
+            for d in rot:
+                if kept and kept[-1] == alpha[d]:
+                    kept.pop()
+                else:
+                    kept.append(d)
+            while len(kept) > 1 and kept[0] == alpha[kept[-1]]:
+                kept = kept[1:-1]
+        else:
+            kept = [d for d in rot if home[alpha[d]] != home[d]]
+        core.append(tuple(kept))
+    left = {d for rot in core for d in rot}
+    edges = tuple(pair for pair in g.edge_darts if pair[0] in left)
+    return EmbeddedGraph(tuple(core), edges), len(bridges), m - len(bridges) - len(edges)
+
+
+def _walk(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
+    """Count the 2^|E| spanning subsets H of ``g`` by (k(H), |H|, f(H)), depth first.
 
     Each node of the enumeration adds one edge of higher index than those
     already in H, so every subset is visited once, and each level is
@@ -100,8 +180,9 @@ def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], 
     a face when its two corners lie on one face and otherwise merges two
     (raising the genus by one).  A face is the orbit of
     phi(d) = sigma_H(alpha(d)), and a corner is named by the dart after
-    it, which lies on its face.  With ``faces`` false f(H) is reported as
-    0 and no sub-rotation is kept.
+    it, which lies on its face.  A subset whose highest edge is the last
+    one is a leaf: it is counted by that rule alone and never built.
+    With ``faces`` false f(H) is reported as 0 and no sub-rotation is kept.
     """
     nv = g.vertex_count
     m = g.edge_count
@@ -157,8 +238,13 @@ def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], 
                 return False
         return True
 
-    def visit(first: int, index: int) -> None:
-        for j in range(first, m):
+    index = nv * sk + (nv if faces else 0)
+    census[index] = 1
+    # the edges in H, each with H's census index before it and what undoes it
+    path: list[tuple[int, int, int, int]] = []
+    j = 0
+    while True:
+        if j < m:  # the child H + j
             u, w, a, b = ends[j]
             ru = u
             while parent[ru] != ru:
@@ -167,16 +253,7 @@ def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], 
             while parent[rw] != rw:
                 rw = parent[rw]
             joined = ru != rw
-            if joined:
-                if rank[ru] < rank[rw]:
-                    ru, rw = rw, ru
-                parent[rw] = ru
-                bumped = rank[ru] == rank[rw]
-                if bumped:
-                    rank[ru] += 1
-                step = se - sk
-            else:
-                step = se
+            step = se - sk if joined else se
             if faces:
                 pa = before(a) if degree[u] else -1
                 pb = before(b) if degree[w] else -1
@@ -185,28 +262,43 @@ def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], 
                     step += 1
                 else:
                     step -= 1
-                insert(a, pa)
-                degree[u] += 1
-                if u == w and pa == pb:
-                    pb = before(b)
-                insert(b, pb)
-                degree[w] += 1
             census[index + step] += 1
-            if j + 1 < m:
-                visit(j + 1, index + step)
-            if faces:
-                unlink(b)
-                degree[w] -= 1
-                unlink(a)
-                degree[u] -= 1
-            if joined:
-                parent[rw] = rw
-                if bumped:
-                    rank[ru] -= 1
-
-    root = nv * sk + (nv if faces else 0)
-    census[root] = 1
-    visit(0, root)
+            if j + 1 < m:  # H + j has children, so build it; a leaf is only counted
+                merged = bumped = -1
+                if joined:
+                    if rank[ru] < rank[rw]:
+                        ru, rw = rw, ru
+                    parent[rw] = ru
+                    merged = rw
+                    if rank[ru] == rank[rw]:
+                        rank[ru] += 1
+                        bumped = ru
+                if faces:
+                    insert(a, pa)
+                    degree[u] += 1
+                    if u == w and pa == pb:
+                        pb = before(b)
+                    insert(b, pb)
+                    degree[w] += 1
+                path.append((j, index, merged, bumped))
+                index += step
+                j += 1
+                continue
+        # undo the highest edge of H and go on to its next sibling
+        if not path:
+            break
+        j, index, merged, bumped = path.pop()
+        if faces:
+            u, w, a, b = ends[j]
+            unlink(b)
+            degree[w] -= 1
+            unlink(a)
+            degree[u] -= 1
+        if merged >= 0:
+            parent[merged] = merged
+            if bumped >= 0:
+                rank[bumped] -= 1
+        j += 1
     out: dict[tuple[int, int, int], int] = {}
     for index, count in enumerate(census):
         if count:

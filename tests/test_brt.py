@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
+from conftest import digon_chain
 
 import bicolorgame.brt as brt_module
 from bicolorgame.brt import (
@@ -21,6 +23,7 @@ from bicolorgame.embedded import EmbeddedGraph
 from bicolorgame.errors import EdgeCapError
 from bicolorgame.fixtures import fixture_names, fixture_text, load_fixture
 from bicolorgame.medial import trace_medial
+from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
 
 # frozen coefficient tables for the two torus fixtures
 TORUS_GRID_BRT = {
@@ -223,3 +226,249 @@ def test_polynomial_string():
 def test_rejects_negative_exponents():
     with pytest.raises(ValueError):
         TrivariatePolynomial({(-1, 0, 0): 1})
+
+
+# -- peeling bridges and trivial loops ---------------------------------------------
+
+
+def rank_polynomial(g, census):
+    """Whitney's rank polynomial from a census by (k, |H|, 0)."""
+    nv = g.vertex_count
+    return TrivariatePolynomial({(k - 1, e - nv + k, 0): n for (k, e, _), n in census.items()})
+
+
+def test_walk_matches_sweep_unpeeled(random_batch):
+    # peeling takes most loops and every bridge away from the walk, so its
+    # loop branches are checked here on graphs it sees whole
+    graphs = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
+    graphs += [load_fixture("sphere_loop"), load_fixture("sphere_edge"), *random_batch[:60]]
+    for g in graphs:
+        swept = brt_by_sweep(g)
+        assert brt_module._ribbon_polynomial(g, brt_module._walk(g, faces=True)) == swept
+        assert rank_polynomial(g, brt_module._walk(g, faces=False)) == swept.specialize_z_one()
+
+
+@pytest.fixture
+def core_sizes(monkeypatch):
+    """Edge counts of the cores walked, in call order."""
+    sizes = []
+    walk = brt_module._walk
+
+    def recording_walk(g, faces):
+        sizes.append(g.edge_count)
+        return walk(g, faces)
+
+    monkeypatch.setattr(brt_module, "_walk", recording_walk)
+    return sizes
+
+
+def peeled_cores(g, sizes):
+    """(core E with faces, core E without), each polynomial checked against the sweep."""
+    sizes.clear()
+    swept = brt_by_sweep(g)
+    assert brt_polynomial(g) == swept
+    assert whitney_rank_polynomial(g) == swept.specialize_z_one()
+    return tuple(sizes)
+
+
+def test_tree_peels_to_a_point(core_sizes):
+    rng = Random(11)
+    pairs = [(rng.randrange(v), v) for v in range(1, 12)]
+    rotations = [[] for _ in range(12)]
+    for j, (u, w) in enumerate(pairs):
+        rotations[u].append(2 * j)
+        rotations[w].append(2 * j + 1)
+    for rot in rotations:
+        rng.shuffle(rot)
+    tree = EmbeddedGraph(rotations, [(2 * j, 2 * j + 1) for j in range(11)])
+    for g in (tree, EmbeddedGraph(*DEGENERATE["path"])):
+        assert peeled_cores(g, core_sizes) == (0, 0)
+        m = g.edge_count
+        assert dict(brt_polynomial(g).coeffs) == {(i, 0, 0): comb(m, i) for i in range(m + 1)}
+
+
+def test_plane_graph_with_pendant_trees_and_nested_loops(core_sizes):
+    # a triangle 0-1-2; at vertex 0 two nested loops around a pendant path
+    # 0-3-4 whose leaf carries a loop; at vertex 1 an adjacent loop around
+    # which a nested loop sits, and a pendant edge to vertex 5
+    g = EmbeddedGraph(
+        [
+            [0, 10, 12, 6, 13, 11, 5],
+            [1, 20, 14, 15, 21, 22, 2],
+            [3, 4],
+            [7, 8],
+            [9, 16, 17],
+            [23],
+        ],
+        [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15),
+         (16, 17), (20, 21), (22, 23)],
+    )
+    assert g.genus == 0
+    assert peeled_cores(g, core_sizes) == (3, 3)
+
+
+def test_pendant_bridge_between_loop_darts_cascades(core_sizes):
+    # loop (0, 1) has the pendant edge 2-3 between its darts, and loop
+    # (4, 5) has that loop and the pendant edge 6-7 between its darts:
+    # each becomes adjacent only once what it encloses is peeled
+    cascade = EmbeddedGraph([[4, 0, 2, 1, 5, 6], [3], [7]], [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert peeled_cores(cascade, core_sizes) == (0, 0)
+    want = {(a, b, 0): comb(2, a) * comb(2, b) for a in range(3) for b in range(3)}
+    assert dict(brt_polynomial(cascade).coeffs) == want  # (1+x)^2 (1+y)^2
+    # the same around two interleaved loops, which stay with faces
+    rotation = [4, 0, 2, 1, 5, 6, 7, 8, 9]
+    g = EmbeddedGraph([rotation, [3]], [(0, 1), (2, 3), (4, 5), (6, 8), (7, 9)])
+    assert peeled_cores(g, core_sizes) == (2, 0)
+
+
+def test_digon_chain_with_pendant_loops(core_sizes):
+    k = 3
+    chain = digon_chain(k)
+    rotations = [list(rot) for rot in chain.rotations]
+    edges = list(chain.edge_darts)
+    dart = 4 * k
+    for rot in rotations:  # a trivial loop at each vertex
+        rot[:0] = [dart, dart + 1]
+        edges.append((dart, dart + 1))
+        dart += 2
+    # a loop around one digon dart: not trivial, so it stays with faces
+    rotations[1][2:3] = [dart, rotations[1][2], dart + 1]
+    edges.append((dart, dart + 1))
+    # a pendant edge from the last vertex to a leaf that carries a loop
+    rotations[k].append(dart + 2)
+    rotations.append([dart + 3, dart + 4, dart + 5])
+    edges += [(dart + 2, dart + 3), (dart + 4, dart + 5)]
+    g = EmbeddedGraph(rotations, edges)
+    assert peeled_cores(g, core_sizes) == (2 * k + 1, 2 * k)
+
+
+# The depth-first walk before peeling and leaves, kept as the reference.
+
+
+def reference_census(g, faces):
+    nv = g.vertex_count
+    m = g.edge_count
+    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
+    alpha = [index_of[g.alpha[d]] for d in index_of]
+    sigma_inv = [index_of[g.sigma_inv[d]] for d in index_of]
+    dv = g.dart_vertex
+    ends = [(dv[a], dv[b], index_of[a], index_of[b]) for a, b in g.edge_darts]
+    parent = list(range(nv))
+    rank = [0] * nv
+    nxt = [-1] * len(alpha)
+    prv = [-1] * len(alpha)
+    degree = [0] * nv
+    se = nv + m + 1 if faces else 1
+    sk = (m + 1) * se
+    census = [0] * ((nv + 1) * sk)
+
+    def before(d):
+        p = sigma_inv[d]
+        while nxt[p] < 0:
+            p = sigma_inv[p]
+        return p
+
+    def insert(d, p):
+        if p < 0:
+            nxt[d] = prv[d] = d
+        else:
+            s = nxt[p]
+            nxt[p] = d
+            prv[d] = p
+            nxt[d] = s
+            prv[s] = d
+
+    def unlink(d):
+        p, s = prv[d], nxt[d]
+        nxt[p] = s
+        prv[s] = p
+        nxt[d] = -1
+
+    def one_face(x, y):
+        cx, cy = x, y
+        while x != cy:
+            x = nxt[alpha[x]]
+            if x == cx:
+                return False
+            y = nxt[alpha[y]]
+            if y == cx:
+                return True
+            if y == cy:
+                return False
+        return True
+
+    def visit(first, index):
+        for j in range(first, m):
+            u, w, a, b = ends[j]
+            ru = u
+            while parent[ru] != ru:
+                ru = parent[ru]
+            rw = w
+            while parent[rw] != rw:
+                rw = parent[rw]
+            joined = ru != rw
+            if joined:
+                if rank[ru] < rank[rw]:
+                    ru, rw = rw, ru
+                parent[rw] = ru
+                bumped = rank[ru] == rank[rw]
+                if bumped:
+                    rank[ru] += 1
+                step = se - sk
+            else:
+                step = se
+            if faces:
+                pa = before(a) if degree[u] else -1
+                pb = before(b) if degree[w] else -1
+                if not joined and (pa < 0 or one_face(nxt[pa], nxt[pb])):
+                    step += 1
+                else:
+                    step -= 1
+                insert(a, pa)
+                degree[u] += 1
+                if u == w and pa == pb:
+                    pb = before(b)
+                insert(b, pb)
+                degree[w] += 1
+            census[index + step] += 1
+            if j + 1 < m:
+                visit(j + 1, index + step)
+            if faces:
+                unlink(b)
+                degree[w] -= 1
+                unlink(a)
+                degree[u] -= 1
+            if joined:
+                parent[rw] = rw
+                if bumped:
+                    rank[ru] -= 1
+
+    root = nv * sk + (nv if faces else 0)
+    census[root] = 1
+    visit(0, root)
+    out = {}
+    for index, count in enumerate(census):
+        if count:
+            k, rest = divmod(index, sk)
+            e, f = divmod(rest, se)
+            out[(k, e, f)] = count
+    return out
+
+
+def draw(make, edges=18):
+    """The first draw of ``make`` with the given edge count."""
+    while True:
+        g = make()
+        if g.edge_count == edges:
+            return g
+
+
+def test_census_matches_the_reference_walk_at_e18(core_sizes):
+    rng = Random(17)
+    mixed = [draw(lambda: random_embedded_graph(rng, max_vertices=8, max_edges=18)) for _ in range(2)]
+    plane = draw(lambda: random_planar_graph(rng, max_edges=18))
+    for g in (*mixed, plane):
+        for faces in (True, False):
+            assert brt_module._subset_census(g, faces) == reference_census(g, faces)
+    # the draws cover a core left whole with faces, and cores that peel
+    assert core_sizes == [18, 17, 15, 13, 9, 8]
