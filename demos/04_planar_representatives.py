@@ -32,7 +32,7 @@ print()
 rs = planar_representatives(g)
 print(f"distinguished edges   {rs.edges}")
 print("representative colorings, one per class:")
-for w in rs.colorings:
+for w in rs.colorings():
     print(f"  {coloring_to_string(g, w)}")
 print()
 print(f"pairwise inequivalent and exhaustive: {verify_representatives(g, rs)}")

@@ -41,11 +41,7 @@ from .homology import (
 )
 from .medial import MedialComponents, strand_space, trace_medial
 from .oracle import OrbitCensus, enumerate_classes, orbit_of
-from .representatives import (
-    RepresentativeSet,
-    planar_representatives,
-    verify_representatives,
-)
+from .representatives import RepresentativeSet, planar_representatives, verify_representatives
 from .spaces import (
     SpaceSummary,
     apply_face_move,

@@ -6,7 +6,7 @@ Handlers neither read files nor print.
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 parse or
 validation error, 3 unsupported operation, 4 enumeration cap exceeded.
-All numeric flags are exact: rationals are written ``p/q`` or ``p``.
+All numeric flags are exact ASCII: rationals are written ``p/q`` or ``p``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 from . import brt, gf2, homology, oracle, spaces
 from .embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
@@ -31,23 +32,30 @@ from .medial import trace_medial
 from .representatives import planar_representatives, verify_representatives
 from .selfcheck import failed_checks, run_all_checks
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# [0-9], not \d or int(): those also take the digits of other scripts
+_NATURAL = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 # (JSON document, text lines, exit code)
-Result = tuple[dict[str, Any], list[str], int]
+Result = tuple[dict[str, Any], Iterable[str], int]
+
+
+def _checked(pattern: re.Pattern[str], text: str, expected: str) -> str:
+    if not pattern.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text[:40]!r}")
+    return text
+
+
+def natural(text: str) -> int:
+    return int(_checked(_NATURAL, text, "a non-negative integer"))
 
 
 def rational(text: str) -> Fraction:
-    if not _RATIONAL.match(text):
-        raise argparse.ArgumentTypeError(f"expected an integer or p/q fraction, got {text!r}")
-    return Fraction(text)
+    return Fraction(_checked(_RATIONAL, text, "an integer or p/q fraction"))
 
 
 def edge_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated edge indices, got {text!r}")
+    return tuple(natural(t.strip()) for t in text.split(",") if t.strip())
 
 
 def _read(path: str) -> str:
@@ -64,7 +72,7 @@ def _coloring(g: EmbeddedGraph, bits: str) -> int:
         raise InvalidGraphError(str(exc)) from None
 
 
-def _emit(args: argparse.Namespace, document: dict[str, Any], lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, document: dict[str, Any], lines: Iterable[str]) -> None:
     if args.json:
         print(json.dumps(document, sort_keys=True, separators=(",", ":")))
     else:
@@ -211,16 +219,17 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
 
 def cmd_reps(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     rs = planar_representatives(g)
+    b, cap = len(rs.edges), oracle.DEFAULT_EDGE_CAP
+    if b > cap:
+        raise EdgeCapError(f"{b} representative edges give 2^{b} colorings; the cap is 2^{cap}")
     ok = verify_representatives(g, rs)
-    strings = [spaces.coloring_to_string(g, w) for w in rs.colorings]
-    doc = {
-        "command": "reps",
-        "edges": list(rs.edges),
-        "colorings": strings,
-        "verified": ok,
-    }
-    lines = ["edges " + " ".join(map(str, rs.edges))] + strings
-    lines.append("verified" if ok else "verification FAILED")
+    strings = (spaces.coloring_to_string(g, w) for w in rs.colorings())
+    doc = {"command": "reps", "edges": list(rs.edges), "verified": ok}
+    if args.json:
+        doc["colorings"] = list(strings)
+    # text output streams the colorings and keeps none of them
+    verdict = "verified" if ok else "verification FAILED"
+    lines = chain(["edges " + " ".join(map(str, rs.edges))], strings, [verdict])
     return doc, lines, 0 if ok else 1
 
 
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cap(p: argparse.ArgumentParser, ceiling: int) -> None:
         # the enumerators allocate per subset or per coloring, so --cap
         # may only lower the default, never raise it
-        p.add_argument("--cap", type=int, choices=range(ceiling + 1), default=ceiling,
+        p.add_argument("--cap", type=natural, choices=range(ceiling + 1), default=ceiling,
                        metavar="N", help=f"enumeration edge cap, 0..{ceiling}")
 
     add("info", cmd_info, help="counts, genus and space dimensions")
@@ -344,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="BITS")
 
     p = add("bot", cmd_bot, help="stacked incidence matrices with one row deleted each")
-    p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--face", type=int, default=None)
+    p.add_argument("--vertex", type=natural, default=None)
+    p.add_argument("--face", type=natural, default=None)
 
     p = add("oracle", cmd_oracle, help="brute-force orbit census")
     add_cap(p, oracle.DEFAULT_EDGE_CAP)

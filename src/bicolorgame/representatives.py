@@ -10,33 +10,36 @@ Nothing of the sort is available on higher genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
+from typing import Iterator
 
 from . import gf2, spaces
 from .embedded import EmbeddedGraph
-from .errors import EdgeCapError, InternalInvariantError, UnsupportedError
+from .errors import InternalInvariantError, UnsupportedError
 from .medial import strand_space, trace_medial
-from .oracle import DEFAULT_EDGE_CAP
 
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    """Distinguished edges and the 2^|edges| colorings they generate.
-
-    ``colorings[s]`` is the sum of the characteristic vectors of the
-    edges selected by the bits of s, so the all-zero coloring comes first.
-    """
+    """Distinguished edges; their 2^|edges| sums represent every class once."""
 
     edge_count: int
     edges: tuple[int, ...]
-    colorings: tuple[int, ...]
+
+    def colorings(self) -> Iterator[int]:
+        """Item s sums the edges selected by the bits of s; 0 comes first."""
+        # from s - 1 to s exactly the bits up to the lowest set bit of s flip
+        flips = list(accumulate((1 << e for e in self.edges), xor))
+        w = 0
+        yield w
+        for s in range(1, 1 << len(flips)):
+            w ^= flips[(s & -s).bit_length() - 1]
+            yield w
 
 
 def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
-    """Pick the distinguished edge set via echelon pivots of the strand basis.
-
-    The 2^(c-1) colorings are listed, so c - 1 may not exceed the orbit
-    sweep's cap: beyond it :class:`EdgeCapError` is raised before any is built.
-    """
+    """Pick the distinguished edge set via echelon pivots of the strand basis."""
     if g.genus != 0:
         raise UnsupportedError(
             "canonical representatives are only defined for plane graphs (genus 0)"
@@ -44,30 +47,21 @@ def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
     basis = strand_space(trace_medial(g))
     if not gf2.row_space_equal(basis, spaces.bicycle_space(g)):
         raise InternalInvariantError("strand space differs from the bicycle space at genus 0")
-    if basis.nrows > DEFAULT_EDGE_CAP:
-        raise EdgeCapError(
-            f"{basis.nrows} representative edges give 2^{basis.nrows} colorings;"
-            f" the cap is 2^{DEFAULT_EDGE_CAP}"
-        )
-    reduced, pivots = gf2.rref(basis)
     # pivot columns: the reduced vector j has a 1 there and all others 0,
     # which is the required witness property in its strongest form
-    chars = tuple(1 << p for p in pivots)
-    colorings = []
-    for mask in range(1 << len(chars)):
-        w = 0
-        for i, ch in enumerate(chars):
-            if (mask >> i) & 1:
-                w ^= ch
-        colorings.append(w)
-    return RepresentativeSet(g.edge_count, pivots, tuple(colorings))
+    return RepresentativeSet(g.edge_count, gf2.rref(basis)[1])
 
 
 def verify_representatives(g: EmbeddedGraph, rs: RepresentativeSet) -> bool:
-    """Check the set hits every class exactly once, via class signatures."""
+    """Check the sums of the edges hit every class exactly once.
+
+    Class signatures are linear, so they do exactly when there are as many
+    edges as the class exponent and the edges' signatures are independent.
+    """
     if g.genus != 0:
         raise UnsupportedError("representative verification is defined for plane graphs")
-    if len(rs.colorings) != spaces.class_count_direct(g):
+    b = len(rs.edges)
+    if b != spaces.class_exponent(g) or not all(0 <= e < g.edge_count for e in rs.edges):
         return False
-    signatures = {spaces.class_signature(g, w) for w in rs.colorings}
-    return len(signatures) == len(rs.colorings)
+    signatures = gf2.GF2Matrix(b, tuple(spaces.class_signature(g, 1 << e) for e in rs.edges))
+    return gf2.rank(signatures) == b

@@ -293,6 +293,58 @@ def test_reps_beyond_the_sweep_cap_needs_no_memory(tmp_path):
     assert proc.stderr.startswith("cap exceeded: ") and len(proc.stderr) < 1024
 
 
+def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
+    # 19 digons: 2^19 representatives, listed under a 96 MB address-space limit
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "digons.rot"
+    p.write_text(format_rotation_system(digon_chain(19)), encoding="utf-8")
+    out = tmp_path / "reps.txt"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+
+    with open(out, "w", encoding="utf-8") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicolorgame.cli", "reps", str(p)],
+            stdout=fh, stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr[-1024:]
+    with open(out, encoding="utf-8") as fh:
+        first = fh.readline()
+        count, last = 1, first
+        for last in fh:
+            count += 1
+    assert first == "edges " + " ".join(str(2 * i) for i in range(19)) + "\n"
+    assert last == "verified\n"
+    assert count == (1 << 19) + 2
+
+
+@pytest.mark.parametrize(
+    "argv, bad, good",
+    [
+        (["homology", "--tree", None], "0,\u0662,3,4,6", "0,2,3,4,6"),
+        (["bot", "--vertex", None], "\u0661", "1"),
+        (["bot", "--face", None], "\u0661", "1"),
+        (["count", "--cap", None], "\u0662\u0662", "22"),
+        (["tutte", "--eval", None, "1"], "\u0662", "2"),
+        (["tutte", "--eval", None, "1"], "1\n", "1"),
+        (["brt", "--eval", "1", "1", None], "1/\u0664", "1/4"),
+        (["bot", "--vertex", None], "\u0661" * 100_000, "0"),
+    ],
+    ids=["tree", "vertex", "face", "cap", "eval", "eval-newline", "eval-denominator", "long"],
+)
+def test_numeric_flags_take_ascii_digits_only(capsys, paths, argv, bad, good):
+    def with_value(value):
+        return [value if a is None else a for a in argv] + [paths["torus_square_handles"]]
+
+    with pytest.raises(SystemExit) as exc:
+        main(with_value(bad))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected" in err and len(err) < 1024
+    assert main(with_value(good)) == 0
+
+
 @pytest.mark.parametrize(
     "command, ceiling", [("count", 22), ("oracle", 22), ("brt", 26), ("tutte", 26)]
 )

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 from conftest import digon_chain, shuffled_torus_grid
 
-from bicolorgame import spaces
+from bicolorgame import selfcheck, spaces
 from bicolorgame.homology import class_count_homology
 from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
 from bicolorgame.selfcheck import ALL_CHECKS, check_tree_choice_invariance, run_all_checks
@@ -67,7 +67,7 @@ def test_all_checks_run_above_the_enumeration_caps():
         "plane": _draw(
             lambda: random_planar_graph(rng, max_edges=30), lambda g: g.edge_count == 30
         ),
-        "digons-23": digon_chain(23),  # 2^23 classes: too many representatives to list
+        "digons-23": digon_chain(23),  # 2^23 classes, more than the CLI lists
     }
     details = {}
     for name, g in graphs.items():
@@ -81,6 +81,22 @@ def test_all_checks_run_above_the_enumeration_caps():
     plane = details["plane"]["plane-structure"]
     assert plane.startswith("bicycle dim=") and "T(-1,-1) skipped" in plane
     assert "representatives" not in plane
-    assert details["digons-23"]["plane-structure"].endswith(
-        "; representatives skipped (2^23 exceeds the cap 2^22)"
+    assert details["digons-23"]["plane-structure"] == (
+        "bicycle dim=23; T(-1,-1) skipped (46 edges exceeds the enumeration cap 26)"
     )
+
+
+def test_plane_check_verifies_representatives_at_every_size(monkeypatch):
+    verified = []
+    real = selfcheck.verify_representatives
+
+    def counted(g, rs):
+        verified.append(len(rs.edges))
+        return real(g, rs)
+
+    monkeypatch.setattr(selfcheck, "verify_representatives", counted)
+    for k in (23, 40):
+        results = run_all_checks(digon_chain(k))
+        assert all(r.ok for r in results), (k, [r for r in results if not r.ok])
+        assert results[-1].name == "plane-structure"
+    assert verified == [23, 40]

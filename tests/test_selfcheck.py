@@ -206,3 +206,18 @@ def test_rank_oracle_fails_on_one_face_delta_flipped(monkeypatch, torus_grid):
     result = selfcheck.check_rank_oracle(torus_grid)
     assert not result.ok
     assert result.detail == "BRT differs from the sweep"
+
+
+def test_plane_check_fails_on_a_repeated_pivot(monkeypatch, two_triangles):
+    # (p, p) instead of (p, q): four sums, but only two classes among them
+    real = selfcheck.planar_representatives
+
+    def planar_representatives(h):
+        rs = real(h)
+        return dataclasses.replace(rs, edges=rs.edges[:1] * len(rs.edges))
+
+    assert selfcheck.check_genus_zero(two_triangles).ok
+    monkeypatch.setattr(selfcheck, "planar_representatives", planar_representatives)
+    result = selfcheck.check_genus_zero(two_triangles)
+    assert not result.ok
+    assert result.detail == "representatives failed verification"
