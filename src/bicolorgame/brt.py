@@ -333,14 +333,14 @@ def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Trivar
     return _ribbon_polynomial(g, _subset_census(g, faces=True))
 
 
-def brt_by_sweep(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
+def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
     """The BRT polynomial with every subset rebuilt and its faces re-traced.
 
     The plain per-mask sweep over ``EmbeddedGraph.subset_counter``, kept
     as the oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
     """
     m = g.edge_count
-    _check_cap(m, edge_cap)
+    _check_cap(m, DEFAULT_EDGE_CAP)
     count = g.subset_counter()
     census: dict[tuple[int, int, int], int] = {}
     for mask in range(1 << m):
@@ -381,11 +381,9 @@ def tutte_eval(
     return p.evaluate(Fraction(x) - 1, Fraction(y) - 1, Fraction(1))
 
 
-def medial_component_count_via_brt(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> int:
+def medial_component_count_via_brt(g: EmbeddedGraph) -> int:
     """Strand count of the medial graph read off |BRT(-2, -2, 1/4)| = 2^(c-1)."""
-    value = brt_polynomial(g, edge_cap).evaluate(
-        Fraction(-2), Fraction(-2), Fraction(1, 4)
-    )
+    value = brt_polynomial(g).evaluate(Fraction(-2), Fraction(-2), Fraction(1, 4))
     magnitude = abs(value)
     if magnitude.denominator != 1:
         raise InternalInvariantError(f"|BRT(-2,-2,1/4)| = {magnitude} is not an integer")

@@ -6,7 +6,9 @@ Handlers neither read files nor print.
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 parse or
 validation error, 3 unsupported operation, 4 enumeration cap exceeded.
-All numeric flags are exact ASCII: rationals are written ``p/q`` or ``p``.
+All numeric flags are exact ASCII: naturals are 1 to 18 digits, as in the
+file format, and rationals are written ``p/q`` or ``p``.  A rejected value
+is echoed in at most 40 characters.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from . import brt, gf2, homology, oracle, spaces
 from .embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
@@ -33,25 +35,31 @@ from .representatives import planar_representatives, verify_representatives
 from .selfcheck import failed_checks, run_all_checks
 
 # [0-9], not \d or int(): those also take the digits of other scripts
-_NATURAL = re.compile(r"[0-9]+")
+_NATURAL = re.compile(r"[0-9]{1,18}")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+# compact, sorted JSON; one encoder serves every value
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # (JSON document, text lines, exit code)
 Result = tuple[dict[str, Any], Iterable[str], int]
 
 
-def _checked(pattern: re.Pattern[str], text: str, expected: str) -> str:
-    if not pattern.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text[:40]!r}")
-    return text
+def _parsed(pattern: re.Pattern[str], convert: type, text: str, expected: str) -> Any:
+    try:
+        if pattern.fullmatch(text):
+            return convert(text)
+    except ValueError:  # a rational beyond the digit limit of int()
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text[:40]!r}")
 
 
 def natural(text: str) -> int:
-    return int(_checked(_NATURAL, text, "a non-negative integer"))
+    return _parsed(_NATURAL, int, text, "a non-negative integer of at most 18 digits")
 
 
 def rational(text: str) -> Fraction:
-    return Fraction(_checked(_RATIONAL, text, "an integer or p/q fraction"))
+    return _parsed(_RATIONAL, Fraction, text, "an integer or p/q fraction")
 
 
 def edge_list(text: str) -> tuple[int, ...]:
@@ -73,11 +81,29 @@ def _coloring(g: EmbeddedGraph, bits: str) -> int:
 
 
 def _emit(args: argparse.Namespace, document: dict[str, Any], lines: Iterable[str]) -> None:
-    if args.json:
-        print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-    else:
+    """Print the lines, or the document as one line of compact sorted JSON.
+
+    A document field holding an iterator is written item by item, so a
+    long listing is never built in memory; the bytes are those of
+    ``_dumps(document)`` with the iterator as a list.
+    """
+    if not args.json:
         for line in lines:
             print(line)
+        return
+    write = sys.stdout.write
+    write("{")
+    for n, key in enumerate(sorted(document)):
+        write(("," if n else "") + _dumps(key) + ":")
+        value = document[key]
+        if isinstance(value, Iterator):
+            write("[")
+            for i, item in enumerate(value):
+                write(("," if i else "") + _dumps(item))
+            write("]")
+        else:
+            write(_dumps(value))
+    write("}\n")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -189,7 +215,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         raise InvalidGraphError(str(exc)) from None
     cycles = homology.fundamental_dual_cycles(g, tc)
     basis, images = homology.strand_image_matrix(g, cycles)
-    b = basis.nrows - gf2.rank(images)
+    b = homology.strand_kernel(basis, images).nrows
     count = 1 << (2 * g.genus + b)
     cycle_rows, image_rows = cycles.row_strings(), images.row_strings()
     doc = {
@@ -208,10 +234,8 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
         "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
     ]
-    for i, s in enumerate(cycle_rows):
-        lines.append(f"cycle {i}: {s}")
-    for i, s in enumerate(image_rows):
-        lines.append(f"strand image {i}: {s}")
+    lines += [f"cycle {i}: {s}" for i, s in enumerate(cycle_rows)]
+    lines += [f"strand image {i}: {s}" for i, s in enumerate(image_rows)]
     lines.append(f"kernel dim b    {b}")
     lines.append(f"class count     {count} = 2^(2*{g.genus} + {b})")
     return doc, lines, 0
@@ -223,11 +247,9 @@ def cmd_reps(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     if b > cap:
         raise EdgeCapError(f"{b} representative edges give 2^{b} colorings; the cap is 2^{cap}")
     ok = verify_representatives(g, rs)
+    # streamed by _emit from the document or the lines, whichever it writes
     strings = (spaces.coloring_to_string(g, w) for w in rs.colorings())
-    doc = {"command": "reps", "edges": list(rs.edges), "verified": ok}
-    if args.json:
-        doc["colorings"] = list(strings)
-    # text output streams the colorings and keeps none of them
+    doc = {"command": "reps", "edges": list(rs.edges), "verified": ok, "colorings": strings}
     verdict = "verified" if ok else "verification FAILED"
     lines = chain(["edges " + " ".join(map(str, rs.edges))], strings, [verdict])
     return doc, lines, 0 if ok else 1
@@ -268,11 +290,12 @@ def cmd_oracle(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "class_count": str(census.class_count),
         "orbit_size": str(census.orbit_size),
     }
-    lines = [f"classes    {census.class_count}", f"orbit size {census.orbit_size}"]
+    lines: Iterable[str] = [f"classes    {census.class_count}", f"orbit size {census.orbit_size}"]
     if args.reps:
-        strings = [spaces.coloring_to_string(g, w) for w in census.representatives]
+        # streamed by _emit from the document or the lines, whichever it writes
+        strings = (spaces.coloring_to_string(g, w) for w in census.representatives)
         doc["representatives"] = strings
-        lines.extend(strings)
+        lines = chain(lines, strings)
     return doc, lines, 0
 
 

@@ -144,14 +144,6 @@ def kernel_basis(m: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(m.ncols, tuple((1 << col) | v for col, v in fill.items()))
 
 
-def transpose(m: GF2Matrix) -> GF2Matrix:
-    rows = [0] * m.ncols
-    for i, r in enumerate(m.rows):
-        for col in _bits(r):
-            rows[col] |= 1 << i
-    return GF2Matrix(m.nrows, tuple(rows))
-
-
 def row_space_intersection_basis(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Basis of (row space of a) ∩ (row space of b), via the Zassenhaus layout.
 

@@ -2,11 +2,13 @@
 
 A spanning tree T of the graph together with a co-tree C (a spanning tree
 of the dual avoiding the duals of T) leaves exactly 2g edges.  Each
-leftover edge closes a unique cycle inside the co-tree; pairing cycles of
-the graph with these 2g dual fundamental cycles realizes the projection
-from the cycle space onto H_1 of the surface over GF(2), whose kernel is
-the dual cut space.  Restricted to the strand space of the medial graph
-the kernel dimension b yields the class count 2^(2g + b).
+leftover edge closes a unique cycle inside the co-tree, read off one walk
+of C from a root; pairing cycles of the graph with these 2g dual
+fundamental cycles realizes the projection from the cycle space onto H_1
+of the surface over GF(2), whose kernel is the dual cut space.  Restricted
+to the strand space of the medial graph, the kernel comes from one
+elimination of the strand vectors beside their images, and its dimension
+b yields the class count 2^(2g + b).
 """
 
 from __future__ import annotations
@@ -80,33 +82,34 @@ def tree_cotree(
 
 
 def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> GF2Matrix:
-    """Row i: the unique cycle that ``tc.leftover_edges[i]`` closes in the co-tree."""
+    """Row i: the unique cycle that ``tc.leftover_edges[i]`` closes in the co-tree.
+
+    One walk through the co-tree from dual vertex 0 records, for every
+    dual vertex, the co-tree edges on its path to that root.  Leftover
+    edge j with ends u, w closes ``1 << j ^ path[u] ^ path[w]``: the shared
+    part of the two paths cancels, and a dual loop gives ``1 << j``.
+    """
     dual = g.dual()
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(dual.vertex_count)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(dual.vertex_count)]
     for j in tc.cotree_edges:
         u, w = dual.edge_endpoints(j)
         adjacency[u].append((w, j))
         adjacency[w].append((u, j))
+    path = [-1] * dual.vertex_count  # -1: not reached yet
+    path[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w, j in adjacency[u]:
+            if path[w] < 0:
+                path[w] = path[u] | (1 << j)
+                stack.append(w)
+    if -1 in path:
+        raise InternalInvariantError("co-tree does not span the dual graph")
     cycles = []
     for j in tc.leftover_edges:
         u, w = dual.edge_endpoints(j)
-        cycle = 1 << j
-        if u != w:
-            # path from u to w inside the co-tree (DFS; the tree is tiny)
-            stack = [(u, -1, 0)]
-            path_bits = None
-            while stack:
-                node, parent_edge, bits = stack.pop()
-                if node == w:
-                    path_bits = bits
-                    break
-                for nxt, edge in adjacency[node]:
-                    if edge != parent_edge:
-                        stack.append((nxt, edge, bits | (1 << edge)))
-            if path_bits is None:
-                raise InternalInvariantError("co-tree does not connect the dual endpoints")
-            cycle |= path_bits
-        cycles.append(cycle)
+        cycles.append((1 << j) ^ path[u] ^ path[w])
     return GF2Matrix(g.edge_count, tuple(cycles))
 
 
@@ -146,24 +149,31 @@ def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix,
     return basis, GF2Matrix(cycles.nrows, images)
 
 
-def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
-    """b: dimension of the homology kernel restricted to the strand space."""
-    basis, images = strand_image_matrix(g, fundamental_dual_cycles(g, tc or tree_cotree(g)))
-    return basis.nrows - gf2.rank(images)
+def strand_kernel(basis: GF2Matrix, images: GF2Matrix) -> GF2Matrix:
+    """The strand vectors whose image vanishes, as a canonical RREF basis.
+
+    ``basis`` and ``images`` are the pair from :func:`strand_image_matrix`.
+    One elimination of the rows ``image | strand << k``, k = ``images.ncols``:
+    the reduced rows whose image part is zero, shifted down by k, span the
+    kernel.  They are already its RREF, since each such row's lowest bit is
+    its pivot and no other row holds that bit.
+    """
+    k = images.ncols
+    rows = tuple(image | (strand << k) for image, strand in zip(images.rows, basis.rows))
+    red, _ = gf2.rref(GF2Matrix(k + basis.ncols, rows))
+    low = (1 << k) - 1
+    return GF2Matrix(basis.ncols, tuple(r >> k for r in red.rows if not (r & low)))
 
 
 def strand_kernel_basis(g: EmbeddedGraph, tc: TreeCotree | None = None) -> GF2Matrix:
     """Basis (in edge coordinates) of the strand vectors that die in homology."""
-    basis, images = strand_image_matrix(g, fundamental_dual_cycles(g, tc or tree_cotree(g)))
-    kernel_coeffs = gf2.kernel_basis(gf2.transpose(images))
-    vectors = []
-    for combo in kernel_coeffs.rows:
-        w = 0
-        for i in range(basis.nrows):
-            if (combo >> i) & 1:
-                w ^= basis.rows[i]
-        vectors.append(w)
-    return gf2.rref(GF2Matrix(g.edge_count, tuple(vectors)))[0]
+    cycles = fundamental_dual_cycles(g, tc or tree_cotree(g))
+    return strand_kernel(*strand_image_matrix(g, cycles))
+
+
+def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
+    """b: dimension of the homology kernel restricted to the strand space."""
+    return strand_kernel_basis(g, tc).nrows
 
 
 def class_count_homology(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:

@@ -107,9 +107,13 @@ def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
     monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_enumeration)
     monkeypatch.setattr(brt_module, "_subset_census", no_enumeration)
     message = "9 edges exceeds the enumeration cap 8"
-    for enumerate_subsets in (brt_polynomial, brt_by_sweep, whitney_rank_polynomial):
+    for enumerate_subsets in (brt_polynomial, whitney_rank_polynomial):
         with pytest.raises(EdgeCapError, match=message):
             enumerate_subsets(torus_grid, edge_cap=8)
+    # the sweep oracle takes no cap: it always checks the default one
+    monkeypatch.setattr(brt_module, "DEFAULT_EDGE_CAP", 8)
+    with pytest.raises(EdgeCapError, match=message):
+        brt_by_sweep(torus_grid)
     path = tmp_path / "torus_grid.rot"
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
     capsys.readouterr()

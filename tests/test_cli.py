@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from conftest import digon_chain
@@ -319,6 +322,52 @@ def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
     assert count == (1 << 19) + 2
 
 
+def test_reps_json_streams_its_colorings_in_bounded_memory(tmp_path):
+    # the --json twin of the test above: the document's colorings are the text lines
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "digons.rot"
+    p.write_text(format_rotation_system(digon_chain(19)), encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+
+    outputs = {}
+    for mode in ("text", "json"):
+        outputs[mode] = tmp_path / f"reps.{mode}"
+        argv = ["reps", "--json", str(p)] if mode == "json" else ["reps", str(p)]
+        with open(outputs[mode], "w", encoding="utf-8") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bicolorgame.cli", *argv],
+                stdout=fh, stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory,
+                timeout=120,
+            )
+        assert proc.returncode == 0, proc.stderr[-1024:]
+    with open(outputs["json"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["verified"] is True and doc["edges"] == [2 * i for i in range(19)]
+    with open(outputs["text"], encoding="utf-8") as fh:
+        next(fh)
+        lines = (line.rstrip("\n") for line in fh)
+        assert all(c == line for c, line in zip(doc["colorings"], lines))
+        assert next(lines) == "verified"
+    assert len(doc["colorings"]) == 1 << 19
+
+
+def test_emit_streams_iterator_fields_as_json_lists():
+    listed = {"b": ["x", "y"], "a": 1, "c": {"z": [1], "y": "\u00e9"}, "d": []}
+    doc = dict(listed, b=iter(listed["b"]), d=iter(listed["d"]))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(SimpleNamespace(json=True), doc, [])
+    assert out.getvalue() == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_eighteen_digit_index_is_parsed_and_reported_briefly(capsys, paths):
+    assert main(["bot", "--vertex", "9" * 18, paths["torus_square_handles"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 1024
+
+
 @pytest.mark.parametrize(
     "argv, bad, good",
     [
@@ -330,8 +379,19 @@ def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
         (["tutte", "--eval", None, "1"], "1\n", "1"),
         (["brt", "--eval", "1", "1", None], "1/\u0664", "1/4"),
         (["bot", "--vertex", None], "\u0661" * 100_000, "0"),
+        # beyond 18 digits for naturals, beyond int()'s digit limit for rationals
+        (["count", "--cap", None], "9" * 5000, "22"),
+        (["count", "--cap", None], "9" * 4000, "22"),
+        (["bot", "--vertex", None], "9" * 5000, "0"),
+        (["bot", "--vertex", None], "9" * 4000, "0"),
+        (["bot", "--face", None], "9" * 19, "0"),
+        (["homology", "--tree", None], "0," + "9" * 5000, "0,2,3,4,6"),
+        (["tutte", "--eval", None, "1"], "9" * 5000, "2"),
+        (["brt", "--eval", "1", "1", None], "1/" + "9" * 5000, "1/4"),
     ],
-    ids=["tree", "vertex", "face", "cap", "eval", "eval-newline", "eval-denominator", "long"],
+    ids=["tree", "vertex", "face", "cap", "eval", "eval-newline", "eval-denominator", "long",
+         "cap-5000", "cap-4000", "vertex-5000", "vertex-4000", "face-19", "tree-5000",
+         "eval-5000", "eval-denominator-5000"],
 )
 def test_numeric_flags_take_ascii_digits_only(capsys, paths, argv, bad, good):
     def with_value(value):
@@ -341,7 +401,7 @@ def test_numeric_flags_take_ascii_digits_only(capsys, paths, argv, bad, good):
         main(with_value(bad))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "expected" in err and len(err) < 1024
+    assert "expected" in err and len(err) < 1024 and "9" * 41 not in err
     assert main(with_value(good)) == 0
 
 

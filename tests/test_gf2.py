@@ -155,13 +155,6 @@ def test_vector_string_roundtrip():
         gf2.vector_to_string(0b100, 2)
 
 
-def test_transpose():
-    m = mat([[1, 1, 0], [0, 1, 1]])
-    t = gf2.transpose(m)
-    assert t.nrows == 3 and t.ncols == 2
-    assert t.row_strings() == ["10", "11", "01"]
-
-
 def test_from_strings():
     m = GF2Matrix.from_strings(["110", "011"])
     assert m.row_strings() == ["110", "011"]
@@ -329,17 +322,6 @@ def test_in_row_space_equals_span_membership():
         a = random_matrix(rng, rng.randint(0, 5), n)
         members = span(a)
         assert all(gf2.in_row_space(a, v) == (v in members) for v in range(1 << n))
-
-
-def test_transpose_is_the_bitwise_definition_and_an_involution():
-    for m in kernel_cases():
-        t = gf2.transpose(m)
-        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
-        assert all(
-            (t.rows[j] >> i) & 1 == (m.rows[i] >> j) & 1
-            for i in range(m.nrows) for j in range(m.ncols)
-        )
-        assert gf2.transpose(t) == m
 
 
 def test_vector_to_string_at_word_boundaries():

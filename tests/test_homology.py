@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from random import Random
 
 import pytest
 
 from bicolorgame import gf2, spaces
 from bicolorgame.embedded import EmbeddedGraph
+from bicolorgame.errors import InternalInvariantError
 from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.homology import (
     class_count_homology,
@@ -18,7 +20,7 @@ from bicolorgame.homology import (
     strand_kernel_dim,
     tree_cotree,
 )
-from bicolorgame.medial import trace_medial
+from bicolorgame.medial import strand_space, trace_medial
 
 
 def prim_spanning_tree(
@@ -175,18 +177,27 @@ def test_invalid_supplied_tree(square_handles):
 
 
 def test_cycles_lie_in_dual_cycle_space(random_batch):
-    for g in random_batch[:40]:
+    # Leftover edge j plus co-tree edges, and a cycle of the dual: the
+    # co-tree plus j holds exactly one such cycle, so this fixes each row.
+    rng = Random(0xD0A1)
+    for g in random_batch:
+        for tc in (tree_cotree(g), tree_cotree(g, rng=rng)):
+            cycles = fundamental_dual_cycles(g, tc)
+            assert cycles.nrows == len(tc.leftover_edges)
+            allowed = sum(1 << e for e in tc.cotree_edges)
+            for j, p in zip(tc.leftover_edges, cycles.rows):
+                assert (p >> j) & 1
+                assert p & ~(1 << j) & ~allowed == 0
+                for row in g.dual_incidence_matrix.rows:
+                    assert gf2.dot(row, p) == 0
+
+
+def test_cotree_that_misses_a_dual_vertex_is_an_internal_error(torus_grid, square_handles):
+    for g in (torus_grid, square_handles):
         tc = tree_cotree(g)
-        cycles = fundamental_dual_cycles(g, tc)
-        for j, p in zip(tc.leftover_edges, cycles.rows):
-            assert (p >> j) & 1
-            extra = p & ~(1 << j)
-            allowed = 0
-            for e in tc.cotree_edges:
-                allowed |= 1 << e
-            assert extra & ~allowed == 0
-            for row in g.dual_incidence_matrix.rows:
-                assert gf2.dot(row, p) == 0
+        short = dataclasses.replace(tc, cotree_edges=tc.cotree_edges[:-1])
+        with pytest.raises(InternalInvariantError, match="does not span the dual"):
+            fundamental_dual_cycles(g, short)
 
 
 def test_image_kills_dual_cuts(square_handles):
@@ -247,6 +258,23 @@ def test_kernel_equals_intersection_subspace(random_batch):
         kernel = strand_kernel_basis(g)
         inter = gf2.row_space_intersection_basis(g.incidence_matrix, g.dual_incidence_matrix)
         assert gf2.row_space_equal(kernel, inter)
+
+
+def test_kernel_is_every_strand_combination_with_zero_image(random_batch):
+    # Brute force: all 2^(c-1) sums of strand basis vectors, the image of
+    # each sum the XOR of the basis images; the zero-image sums are the kernel.
+    for g in random_batch:
+        cycles = fundamental_dual_cycles(g, tree_cotree(g))
+        sums = [(0, 0)]
+        for v in strand_space(trace_medial(g)).rows:
+            image = homology_image(g, cycles, v)
+            sums += [(w ^ v, i ^ image) for w, i in sums]
+        kernel = [w for w, i in sums if i == 0]
+        dim = len(kernel).bit_length() - 1
+        assert len(kernel) == 1 << dim
+        want, _ = gf2.rref(gf2.GF2Matrix(g.edge_count, tuple(kernel)))
+        assert strand_kernel_basis(g).rows == want.rows
+        assert strand_kernel_dim(g) == dim == want.nrows
 
 
 def test_dual_side_kernel_matches(random_batch):

@@ -8,6 +8,7 @@ input a check consumes and requires the check to report ``ok=False``.
 from __future__ import annotations
 
 import dataclasses
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -221,3 +222,41 @@ def test_plane_check_fails_on_a_repeated_pivot(monkeypatch, two_triangles):
     result = selfcheck.check_genus_zero(two_triangles)
     assert not result.ok
     assert result.detail == "representatives failed verification"
+
+
+def _first_bad_column(mat: GF2Matrix) -> str:
+    """Reference: count the ones of every column, report the first not 0 or 2."""
+    for col in range(mat.ncols):
+        ones = sum((r >> col) & 1 for r in mat.rows)
+        if ones not in (0, 2):
+            return f"column {col} has {ones} ones"
+    return ""
+
+
+@pytest.mark.parametrize(
+    "rows, detail",
+    [((0b011, 0b101), "column 1 has 1 ones"), ((0b011, 0b001, 0b011), "column 0 has 3 ones")],
+    ids=["one-one", "three-ones"],
+)
+def test_incidence_shape_reports_the_first_bad_column(rows, detail):
+    good, bad = GF2Matrix(3, (0b011, 0b110, 0b101)), GF2Matrix(3, rows)
+    for primal, dual in ((bad, good), (good, bad), (bad, bad)):
+        g = SimpleNamespace(incidence_matrix=primal, dual_incidence_matrix=dual)
+        result = selfcheck.check_incidence_shape(g)
+        assert (result.ok, result.detail) == (False, detail)
+    g = SimpleNamespace(incidence_matrix=good, dual_incidence_matrix=good)
+    assert selfcheck.check_incidence_shape(g).ok
+
+
+def test_incidence_shape_matches_the_per_column_count():
+    rng = Random(0x1C5)
+    for _ in range(300):
+        ncols = rng.randint(0, 9)
+        mats = [
+            GF2Matrix(ncols, tuple(rng.getrandbits(ncols) for _ in range(rng.randint(0, 5))))
+            for _ in range(2)
+        ]
+        want = _first_bad_column(mats[0]) or _first_bad_column(mats[1])
+        g = SimpleNamespace(incidence_matrix=mats[0], dual_incidence_matrix=mats[1])
+        result = selfcheck.check_incidence_shape(g)
+        assert (result.ok, result.detail) == (not want, want)
