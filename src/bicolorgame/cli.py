@@ -234,8 +234,10 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
         "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
     ]
-    lines += [f"cycle {i}: {s}" for i, s in enumerate(cycle_rows)]
-    lines += [f"strand image {i}: {s}" for i, s in enumerate(image_rows)]
+    for i, s in enumerate(cycle_rows):
+        lines.append(f"cycle {i}: {s}")
+    for i, s in enumerate(image_rows):
+        lines.append(f"strand image {i}: {s}")
     lines.append(f"kernel dim b    {b}")
     lines.append(f"class count     {count} = 2^(2*{g.genus} + {b})")
     return doc, lines, 0

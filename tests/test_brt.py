@@ -111,8 +111,8 @@ def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
         with pytest.raises(EdgeCapError, match=message):
             enumerate_subsets(torus_grid, edge_cap=8)
     # the sweep oracle takes no cap: it always checks the default one
-    monkeypatch.setattr(brt_module, "DEFAULT_EDGE_CAP", 8)
-    with pytest.raises(EdgeCapError, match=message):
+    with monkeypatch.context() as m, pytest.raises(EdgeCapError, match=message):
+        m.setattr(brt_module, "DEFAULT_EDGE_CAP", 8)
         brt_by_sweep(torus_grid)
     path = tmp_path / "torus_grid.rot"
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
