@@ -33,6 +33,7 @@ from .fixtures import fixture_names, load_fixture
 from .medial import trace_medial
 from .representatives import planar_representatives, verify_representatives
 from .selfcheck import failed_checks, run_all_checks
+from .spaces import exact_decimal
 
 # [0-9], not \d or int(): those also take the digits of other scripts
 _NATURAL = re.compile(r"[0-9]{1,18}")
@@ -111,6 +112,7 @@ def _emit(args: argparse.Namespace, document: dict[str, Any], lines: Iterable[st
 
 def cmd_info(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     s = spaces.summarize(g)
+    count = exact_decimal(s.class_count)
     doc = {
         "command": "info",
         "vertices": s.vertex_count,
@@ -124,7 +126,7 @@ def cmd_info(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "dim_intersection": s.dim_intersection,
         "bicycle_dim": s.bicycle_dim,
         "class_exponent": s.class_exponent,
-        "class_count": str(s.class_count),
+        "class_count": count,
     }
     lines = [
         f"vertices            {s.vertex_count}",
@@ -137,7 +139,7 @@ def cmd_info(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         f"dim (U + U*)        {s.dim_sum}",
         f"dim (U cap U*)      {s.dim_intersection}",
         f"bicycle dimension   {s.bicycle_dim}",
-        f"class count         {s.class_count} = 2^{s.class_exponent}",
+        f"class count         {count} = 2^{s.class_exponent}",
     ]
     return doc, lines, 0
 
@@ -163,8 +165,8 @@ def cmd_count(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     if args.method in ("oracle", "all"):
         counts["oracle"] = oracle.enumerate_classes(g, edge_cap=args.cap).class_count
     doc = {"command": "count", "method": args.method}
-    doc.update({k: str(v) for k, v in counts.items()})
-    lines = [f"{k:9s} {v}" for k, v in counts.items()]
+    doc.update({k: exact_decimal(v) for k, v in counts.items()})
+    lines = [f"{k:9s} {doc[k]}" for k in counts]
     if args.method == "all":
         if len(set(counts.values())) != 1:
             doc["agreement"] = "FAIL"
@@ -191,9 +193,9 @@ def cmd_brt(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     if args.eval is not None:
         x, y, z = args.eval
         value = p.evaluate(x, y, z)
-        doc["eval_point"] = [str(x), str(y), str(z)]
-        doc["value"] = str(value)
-        lines = [str(value)]
+        doc["eval_point"] = [exact_decimal(x), exact_decimal(y), exact_decimal(z)]
+        doc["value"] = exact_decimal(value)
+        lines = [doc["value"]]
     return doc, lines, 0
 
 
@@ -202,10 +204,10 @@ def cmd_tutte(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     value = brt.tutte_eval(g, x, y, edge_cap=args.cap)
     doc = {
         "command": "tutte",
-        "eval_point": [str(x), str(y)],
-        "value": str(value),
+        "eval_point": [exact_decimal(x), exact_decimal(y)],
+        "value": exact_decimal(value),
     }
-    return doc, [str(value)], 0
+    return doc, [doc["value"]], 0
 
 
 def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
@@ -216,7 +218,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     cycles = homology.fundamental_dual_cycles(g, tc)
     basis, images = homology.strand_image_matrix(g, cycles)
     b = homology.strand_kernel(basis, images).nrows
-    count = 1 << (2 * g.genus + b)
+    count = exact_decimal(1 << (2 * g.genus + b))
     cycle_rows, image_rows = cycles.row_strings(), images.row_strings()
     doc = {
         "command": "homology",
@@ -227,7 +229,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "strand_images": image_rows,
         "kernel_dim": b,
         "genus": g.genus,
-        "class_count": str(count),
+        "class_count": count,
     }
     lines = [
         "tree edges      " + " ".join(map(str, tc.tree_edges)),
@@ -260,7 +262,7 @@ def cmd_reps(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
 def cmd_signature(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     w = _coloring(g, args.coloring)
     basis = spaces.signature_basis(g)
-    sig = spaces.class_signature(g, w)
+    sig = spaces.class_signature(basis, w)
     text = gf2.vector_to_string(sig, basis.nrows)
     doc = {"command": "signature", "signature": text, "length": basis.nrows}
     return doc, [text], 0
@@ -289,10 +291,10 @@ def cmd_oracle(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     census = oracle.enumerate_classes(g, edge_cap=args.cap)
     doc = {
         "command": "oracle",
-        "class_count": str(census.class_count),
-        "orbit_size": str(census.orbit_size),
+        "class_count": exact_decimal(census.class_count),
+        "orbit_size": exact_decimal(census.orbit_size),
     }
-    lines: Iterable[str] = [f"classes    {census.class_count}", f"orbit size {census.orbit_size}"]
+    lines: Iterable[str] = [f"classes    {doc['class_count']}", f"orbit size {doc['orbit_size']}"]
     if args.reps:
         # streamed by _emit from the document or the lines, whichever it writes
         strings = (spaces.coloring_to_string(g, w) for w in census.representatives)

@@ -264,6 +264,29 @@ class EmbeddedGraph:
                 rows[fb] |= 1 << j
         return GF2Matrix(self.edge_count, tuple(rows))
 
+    def is_cycle(self, u: int) -> bool:
+        """True iff the edge set u lies in the cycle space.
+
+        The cycle space is the kernel of the incidence matrix: every vertex
+        meets an even number of the edges of u.  One pass over the set bits
+        of u toggles the parity of both endpoints of each edge; a loop
+        toggles its vertex twice and cancels, like its zero incidence
+        column.  The dual keeps the edge indexing and its vertex i is face
+        i, so ``g.dual().is_cycle(u)`` asks the same of the face rows.
+        """
+        if u < 0 or u >> self.edge_count:
+            raise ValueError("vector length does not match the edge count")
+        parity = bytearray(self.vertex_count)
+        vertex_of = self.dart_vertex
+        rest = u
+        while rest:
+            low = rest & -rest
+            a, b = self.edge_darts[low.bit_length() - 1]
+            parity[vertex_of[a]] ^= 1
+            parity[vertex_of[b]] ^= 1
+            rest ^= low
+        return 1 not in parity
+
     # -- spanning sub-ribbons ------------------------------------------------
 
     def subset_counter(self) -> Callable[[int], tuple[int, int]]:

@@ -44,12 +44,13 @@ def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
         raise UnsupportedError(
             "canonical representatives are only defined for plane graphs (genus 0)"
         )
-    basis = strand_space(trace_medial(g))
-    if not gf2.row_space_equal(basis, spaces.bicycle_space(g)):
+    # both sides in reduced echelon form, which is unique to a row space
+    reduced, pivots = gf2.rref(strand_space(trace_medial(g)))
+    if reduced.rows != spaces.bicycle_space(g).rows:
         raise InternalInvariantError("strand space differs from the bicycle space at genus 0")
     # pivot columns: the reduced vector j has a 1 there and all others 0,
     # which is the required witness property in its strongest form
-    return RepresentativeSet(g.edge_count, gf2.rref(basis)[1])
+    return RepresentativeSet(g.edge_count, pivots)
 
 
 def verify_representatives(g: EmbeddedGraph, rs: RepresentativeSet) -> bool:
@@ -57,11 +58,15 @@ def verify_representatives(g: EmbeddedGraph, rs: RepresentativeSet) -> bool:
 
     Class signatures are linear, so they do exactly when there are as many
     edges as the class exponent and the edges' signatures are independent.
+    The signature of edge e is column e of the signature basis, so the
+    b x b matrix of edge signatures is, transposed, the basis rows cut down
+    to the edges' columns.  A repeated or zero-signature edge lowers its rank.
     """
     if g.genus != 0:
         raise UnsupportedError("representative verification is defined for plane graphs")
-    b = len(rs.edges)
-    if b != spaces.class_exponent(g) or not all(0 <= e < g.edge_count for e in rs.edges):
+    basis = spaces.signature_basis(g)
+    if len(rs.edges) != basis.nrows or not all(0 <= e < g.edge_count for e in rs.edges):
         return False
-    signatures = gf2.GF2Matrix(b, tuple(spaces.class_signature(g, 1 << e) for e in rs.edges))
-    return gf2.rank(signatures) == b
+    mask = sum({1 << e for e in rs.edges})  # OR of the edge bits
+    cut = gf2.GF2Matrix(g.edge_count, tuple(r & mask for r in basis.rows))
+    return gf2.rank(cut) == basis.nrows

@@ -51,11 +51,11 @@ def _over_cap(g: EmbeddedGraph) -> str:
 def _all_double_cycles(g: EmbeddedGraph, vectors: Iterable[int]) -> bool:
     """True iff every vector is a cycle of g and of its dual.
 
-    The cycle spaces are the kernels of the incidence matrices, so this is
-    orthogonality to every vertex row and every face row.
+    Each test is one parity walk over the vector's edges: at g's vertices,
+    then at the dual's, which are g's faces.
     """
-    rows = g.incidence_matrix.rows + g.dual_incidence_matrix.rows
-    return not any(gf2.dot(v, r) for v in vectors for r in rows)
+    d = g.dual()
+    return all(g.is_cycle(v) and d.is_cycle(v) for v in vectors)
 
 
 def check_euler(g: EmbeddedGraph) -> CheckResult:
@@ -100,11 +100,13 @@ def check_dual_involution(g: EmbeddedGraph) -> CheckResult:
 
 
 def check_orthogonality(g: EmbeddedGraph) -> CheckResult:
-    for r1 in g.incidence_matrix.rows:
-        for r2 in g.dual_incidence_matrix.rows:
-            if gf2.dot(r1, r2):
-                return CheckResult("dual-cuts-are-cycles", False, "a face row meets a vertex row oddly")
-    return CheckResult("dual-cuts-are-cycles", True)
+    """Every face row is a cycle of g, so it is orthogonal to every vertex row.
+
+    The walk of face row s leaves vertex v the parity dot(r_v, s); a loop
+    adds 0 to both.
+    """
+    ok = all(map(g.is_cycle, g.dual_incidence_matrix.rows))
+    return CheckResult("dual-cuts-are-cycles", ok, "" if ok else "a face row meets a vertex row oddly")
 
 
 def check_dimension_identities(g: EmbeddedGraph) -> CheckResult:
@@ -122,7 +124,8 @@ def check_dimension_identities(g: EmbeddedGraph) -> CheckResult:
 def check_counts_agree(g: EmbeddedGraph) -> CheckResult:
     direct = spaces.class_count_direct(g)
     homological = class_count_homology(g)
-    detail = f"direct={direct} homology={homological}"
+    exact = spaces.exact_decimal
+    detail = f"direct={exact(direct)} homology={exact(homological)}"
     ok = direct == homological
     if ok and g.edge_count <= ORACLE_LIMIT:
         swept = enumerate_classes(g).class_count

@@ -9,6 +9,8 @@ of the two row spaces (the cocycle spaces U and U*).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 from . import gf2
@@ -47,6 +49,9 @@ def bicycle_space(g: EmbeddedGraph) -> GF2Matrix:
     return gf2.row_space_intersection_basis(g.incidence_matrix, cycle_space(g))
 
 
+# The benchmark worker (perfbench/bench_worker.py) reads cache_info() around
+# every op, so this cache stays until the benchmark counts hits another way
+# (ROADMAP item 1).
 @lru_cache(maxsize=256)
 def moves_matrix(g: EmbeddedGraph) -> GF2Matrix:
     """All move generators stacked: incidence rows over dual incidence rows."""
@@ -61,6 +66,20 @@ def coloring_from_string(g: EmbeddedGraph, bits: str) -> int:
 
 def coloring_to_string(g: EmbeddedGraph, w: int) -> str:
     return gf2.vector_to_string(w, g.edge_count)
+
+
+def exact_decimal(value: int | Fraction) -> str:
+    """A count or rational value in decimal, exact at any size.
+
+    ``str`` of an int over 4300 digits raises under Python's default
+    int-to-string limit; ``Decimal`` converts without it and leaves the
+    interpreter setting alone.  A Fraction reads as ``str(Fraction)``
+    prints it: the numerator, then ``/`` and the denominator unless it is 1.
+    """
+    if isinstance(value, Fraction):
+        text = exact_decimal(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{exact_decimal(value.denominator)}"
+    return str(Decimal(value))
 
 
 def apply_vertex_move(g: EmbeddedGraph, w: int, vertex: int) -> int:
@@ -95,22 +114,24 @@ def same_class(g: EmbeddedGraph, w1: int, w2: int) -> bool:
     return gf2.in_row_space(moves_matrix(g), w1 ^ w2)
 
 
-@lru_cache(maxsize=256)
 def signature_basis(g: EmbeddedGraph) -> GF2Matrix:
     """Canonical basis of (U + U*)^perp, the dual side of the class space.
 
     Taken in reduced echelon form so signatures are stable across runs.
+    Its row count is the class exponent.
     """
     return gf2.rref(gf2.kernel_basis(moves_matrix(g)))[0]
 
 
-def class_signature(g: EmbeddedGraph, w: int) -> int:
-    """Complete class invariant: inner products of w with the signature basis.
+def class_signature(basis: GF2Matrix, w: int) -> int:
+    """Complete class invariant: inner products of w with ``basis``.
 
-    Two colorings have equal signatures iff ``same_class`` holds.
+    ``basis`` is ``signature_basis(g)``, computed once for any number of
+    colorings of g.  Two colorings have equal signatures iff ``same_class``
+    holds.
     """
     sig = 0
-    for i, z in enumerate(signature_basis(g).rows):
+    for i, z in enumerate(basis.rows):
         if gf2.dot(z, w):
             sig |= 1 << i
     return sig

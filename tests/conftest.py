@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -80,6 +81,33 @@ def digon_chain(k: int) -> EmbeddedGraph:
         rotations[i + 1] += [b + 1, a + 1]
     edge_darts = tuple((d, d + 1) for d in range(0, 4 * k, 2))
     return EmbeddedGraph(tuple(map(tuple, rotations)), edge_darts)
+
+
+def interlaced_bouquet(pairs: int) -> EmbeddedGraph:
+    """One vertex with ``pairs`` interlaced loop pairs: genus ``pairs``, one
+    face, no moves, so 2^(2 * pairs) classes.
+
+    Pair k is edges 2k and 2k + 1 on darts 4k..4k + 3, in rotation order
+    a b a' b'.
+    """
+    edge_darts = []
+    for k in range(pairs):
+        edge_darts += [(4 * k, 4 * k + 2), (4 * k + 1, 4 * k + 3)]
+    return EmbeddedGraph((tuple(range(4 * pairs)),), tuple(edge_darts))
+
+
+def long_decimal(value: int | Fraction) -> str:
+    """Reference rendering of an int or Fraction, as str() would give it
+    with no digit limit: 18 digits at a time, each chunk far below it."""
+    value = Fraction(value)
+    sign, rest, chunks = "-" * (value < 0), abs(value.numerator), []
+    while True:
+        rest, low = divmod(rest, 10**18)
+        chunks.append(low)
+        if not rest:
+            break
+    text = sign + str(chunks[-1]) + "".join(f"{c:018d}" for c in reversed(chunks[:-1]))
+    return text if value.denominator == 1 else f"{text}/{long_decimal(value.denominator)}"
 
 
 def high_genus_graph(rng: Random) -> EmbeddedGraph:

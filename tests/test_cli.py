@@ -8,15 +8,16 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import digon_chain
+from conftest import digon_chain, interlaced_bouquet, long_decimal
 
-from bicolorgame import cli, homology
+from bicolorgame import brt, cli, homology
 from bicolorgame.cli import main
 from bicolorgame.embedded import format_rotation_system
-from bicolorgame.fixtures import fixture_text
+from bicolorgame.fixtures import fixture_text, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,45 @@ def test_json_byte_stability(capsys, paths):
     doc = json.loads(out1)
     assert doc["class_count"] == "8"
     assert doc["genus"] == 1
+
+
+def test_counts_beyond_the_int_digit_limit_print_exactly(capsys, tmp_path):
+    # 2^14400 has 4335 digits, past the 4300 that str(int) allows by default
+    p = tmp_path / "bouquet.rot"
+    p.write_text(format_rotation_system(interlaced_bouquet(7200)), encoding="utf-8")
+    want = long_decimal(1 << 14400)
+    assert len(want) == 4335
+    code, out = run(capsys, "info", str(p))
+    assert code == 0 and f"class count         {want} = 2^14400\n" in out
+    code, out = run(capsys, "info", "--json", str(p))
+    assert code == 0 and json.loads(out)["class_count"] == want
+    code, out = run(capsys, "count", "--method", "direct", str(p))
+    assert (code, out) == (0, f"direct    {want}\n")
+    code, out = run(capsys, "count", "--method", "direct", "--json", str(p))
+    assert code == 0 and json.loads(out)["direct"] == want
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [(["tutte", "--eval", "2", "9" * 1000], (2, "9" * 1000)),
+     (["brt", "--eval", "9" * 1000, "9" * 1000, "1"], ("9" * 1000, "9" * 1000, 1))],
+    ids=["tutte", "brt"],
+)
+def test_eval_values_beyond_the_int_digit_limit_print_exactly(capsys, paths, argv, point):
+    g = load_fixture("torus_grid")
+    point = tuple(Fraction(v) for v in point)
+    if argv[0] == "tutte":
+        value = brt.tutte_eval(g, *point)
+    else:
+        value = brt.brt_polynomial(g).evaluate(*point)
+    want = long_decimal(value)
+    assert len(want) > 4300
+    code, out = run(capsys, *argv, paths["torus_grid"])
+    assert (code, out) == (0, want + "\n")
+    code, out = run(capsys, *argv, "--json", paths["torus_grid"])
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == want
+    assert doc["eval_point"] == [long_decimal(v) for v in point]
 
 
 def test_json_documents_parse(capsys, paths):

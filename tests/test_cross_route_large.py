@@ -3,9 +3,11 @@
 The oracle cannot follow at this size, so the two linear routes, the
 dimension identities and the tree-choice invariance are the check.  The
 graphs come from the ``large_graphs`` fixture, plus a 72x72 torus grid
-(E = 10368) on which only the two counts are compared: the Zassenhaus
-step of ``summarize`` still takes seconds there.  Just above the
-enumeration caps, the whole identity list still runs and passes.
+(E = 10368), built once for the module.  On the grid the two counts are
+compared and the orthogonality and strand-lemma checks run, both one
+parity walk per vector; ``summarize`` is left out, as its Zassenhaus
+step still takes seconds there.  Just above the enumeration caps, the
+whole identity list still runs and passes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from conftest import digon_chain, shuffled_torus_grid
 from bicolorgame import selfcheck, spaces
 from bicolorgame.homology import class_count_homology
 from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
-from bicolorgame.selfcheck import ALL_CHECKS, check_tree_choice_invariance, run_all_checks
+from bicolorgame.selfcheck import (
+    ALL_CHECKS,
+    check_orthogonality,
+    check_strand_lemma,
+    check_tree_choice_invariance,
+    run_all_checks,
+)
 
 LARGE = ("torus-grid-32", "random-high-genus")
 
@@ -44,10 +52,23 @@ def test_tree_choice_invariance_at_scale(large_graphs, name):
     assert result.ok, result.detail
 
 
-def test_direct_and_homology_agree_at_ten_thousand_edges():
+@pytest.fixture(scope="module")
+def grid_72():
     g = shuffled_torus_grid(Random(72), 72)
     assert (g.vertex_count, g.edge_count, g.face_count, g.genus) == (5184, 10368, 5184, 1)
-    assert spaces.class_count_direct(g) == class_count_homology(g) == 2**144
+    return g
+
+
+def test_direct_and_homology_agree_at_ten_thousand_edges(grid_72):
+    assert spaces.class_count_direct(grid_72) == class_count_homology(grid_72) == 2**144
+
+
+@pytest.mark.parametrize("check", [check_orthogonality, check_strand_lemma])
+@pytest.mark.parametrize("name", LARGE + ("torus-grid-72",))
+def test_double_cycle_checks_at_scale(large_graphs, grid_72, name, check):
+    g = grid_72 if name == "torus-grid-72" else large_graphs[name]
+    result = check(g)
+    assert result.ok, result.detail
 
 
 def _draw(make, accept):

@@ -1,12 +1,16 @@
-"""Rotation systems: validation, faces, genus, duality, sub-ribbons."""
+"""Rotation systems: validation, faces, genus, duality, cycle membership, sub-ribbons."""
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
+from bicolorgame import gf2
 from bicolorgame.embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
 from bicolorgame.errors import InvalidGraphError, RotationParseError
 from bicolorgame.fixtures import load_fixture
+from bicolorgame.medial import trace_medial
 
 # expected incidence data for the torus fixtures, frozen as regression values
 TORUS_GRID_INCIDENCE = [
@@ -210,6 +214,28 @@ def test_incidence_column_parity(random_batch):
             assert acc == 0
 
 
+def test_is_cycle_is_orthogonality_to_the_incidence_rows(random_batch):
+    # reference: u is a cycle of g iff dot(r, u) = 0 for every vertex row r,
+    # and a cycle of the dual iff the same holds for every face row
+    rng = Random(0xC7C1E)
+    for g in random_batch:
+        d = g.dual()
+        e = g.edge_count
+        vectors = (
+            list(g.incidence_matrix.rows)
+            + list(g.dual_incidence_matrix.rows)
+            + list(trace_medial(g).trace_vectors)
+            + [rng.getrandbits(e) for _ in range(20)]
+        )
+        for u in vectors:
+            for h, rows in ((g, g.incidence_matrix.rows), (d, g.dual_incidence_matrix.rows)):
+                assert h.is_cycle(u) == (not any(gf2.dot(r, u) for r in rows))
+        for h in (g, d):
+            for u in (-1, 1 << e, (1 << e) | 1):
+                with pytest.raises(ValueError, match="vector length does not match"):
+                    h.is_cycle(u)
+
+
 def test_sub_ribbon_conventions(torus_grid):
     faces = torus_grid.subset_counter()
     assert faces((1 << 9) - 1)[1] == 5
@@ -240,8 +266,6 @@ def test_sub_ribbon_bridge_column():
 def test_sub_ribbon_matches_full_subgraph(random_batch):
     # re-embedding the chosen subgraph as its own rotation system gives the
     # same face count, whenever the subgraph happens to be connected
-    from random import Random
-
     rng = Random(99)
     for g in random_batch[:25]:
         if g.edge_count == 0:

@@ -64,7 +64,8 @@ def _verified_by_listing(g, rs) -> bool:
     class signature per class."""
     colorings = list(rs.colorings())
     count = spaces.class_count_direct(g)
-    return len(colorings) == count == len({spaces.class_signature(g, w) for w in colorings})
+    basis = spaces.signature_basis(g)
+    return len(colorings) == count == len({spaces.class_signature(basis, w) for w in colorings})
 
 
 def test_rank_verification_matches_the_listing(planar_batch):

@@ -12,8 +12,9 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
+from conftest import digon_chain, long_decimal
 
-from bicolorgame import selfcheck, spaces
+from bicolorgame import gf2, selfcheck, spaces
 from bicolorgame.brt import TrivariatePolynomial
 from bicolorgame.gf2 import GF2Matrix
 
@@ -30,10 +31,11 @@ def _euler_face_count_off(monkeypatch, g):
 def _face_row_meets_a_vertex_once(monkeypatch, g):
     first_row = g.incidence_matrix.rows[0]
     lowest_edge_bit = first_row & -first_row
-    return SimpleNamespace(
-        incidence_matrix=g.incidence_matrix,
-        dual_incidence_matrix=GF2Matrix(g.edge_count, (lowest_edge_bit,)),
-    )
+    # the check walks g's edges, so the fake face row goes into g itself;
+    # monkeypatch restores the cached matrix afterwards
+    fake = GF2Matrix(g.edge_count, (lowest_edge_bit,))
+    monkeypatch.setitem(g.__dict__, "dual_incidence_matrix", fake)
+    return g
 
 
 def _intersection_dim_off(monkeypatch, g):
@@ -186,6 +188,45 @@ def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypa
         "polynomial-strand-count": "poly=3 trace=4",
         "inclusion-chain": "no strand space: strand trace vectors are rank deficient",
     }
+
+
+def test_strand_lemma_fails_on_a_trace_vector_off_the_double_cycles(monkeypatch, torus_grid):
+    # Edge 0 flipped in trace vectors 0 and 1: the sum stays zero, the
+    # crossing counts are untouched and the rank still holds, but vector 0
+    # now meets an endpoint of edge 0 oddly.
+    real = selfcheck.trace_medial
+
+    def trace_medial(h):
+        mc = real(h)
+        a, b, *rest = mc.trace_vectors
+        return dataclasses.replace(mc, trace_vectors=(a ^ 1, b ^ 1, *rest))
+
+    assert selfcheck.check_strand_lemma(torus_grid).ok
+    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    result = selfcheck.check_strand_lemma(torus_grid)
+    assert (result.ok, result.detail) == (False, "a trace vector is not a bi-directional cycle")
+
+
+def test_inclusions_fail_on_a_strand_row_off_the_double_cycles(monkeypatch, torus_grid):
+    # the one-edge row 1 under the real basis keeps U cap U* inside the span
+    real = selfcheck.strand_space
+    assert selfcheck.check_inclusions(torus_grid).ok
+    monkeypatch.setattr(
+        selfcheck, "strand_space", lambda mc: gf2.stack(real(mc), GF2Matrix(mc.edge_count, (1,)))
+    )
+    result = selfcheck.check_inclusions(torus_grid)
+    assert (result.ok, result.detail) == (False, "strand space leaves the double cycle space")
+
+
+def test_count_detail_prints_counts_beyond_the_int_digit_limit(monkeypatch):
+    # E = 18 is above the oracle limit, so only the two linear counts show
+    g = digon_chain(9)
+    huge = 1 << 15000
+    monkeypatch.setattr(spaces, "class_count_direct", lambda h: huge)
+    monkeypatch.setattr(selfcheck, "class_count_homology", lambda h: huge)
+    result = selfcheck.check_counts_agree(g)
+    want = long_decimal(huge)
+    assert (result.ok, result.detail) == (True, f"direct={want} homology={want}")
 
 
 def test_rank_oracle_fails_on_one_face_delta_flipped(monkeypatch, torus_grid):
