@@ -1,20 +1,27 @@
-"""Ground truth by brute force: sweep every coloring, close under moves.
+"""Ground truth by brute force: mark every coloring, one orbit at a time.
 
-This module deliberately avoids the linear-algebra machinery.  Orbits are
-computed by plain BFS closure under the move generators (one per vertex
-and one per face), so the census is an independent referee for both
-counting routes.
+This module deliberately avoids the linear-algebra machinery: no rank, no
+pivots, only marks in a bytearray of 2^|E| bytes.  The moves are XORs by
+the generators (one per vertex and one per face), so the orbit of w is the
+coset w + S, where S is the orbit of 0.  S is marked by doubling: a
+generator not yet marked lies outside the span so far, and XORing it onto
+every marked coloring doubles the marked set.  The census then sweeps the
+colorings in ascending order and marks one coset per unmarked coloring,
+walking the sums of the doubling generators without ever listing S.  The
+census is an independent referee for both counting routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterator
 
 from .embedded import EmbeddedGraph
 from .errors import EdgeCapError, InternalInvariantError
 
 DEFAULT_EDGE_CAP = 22
+_LISTED = 12  # the sums of this many doubling generators are listed once per census
 
 
 @dataclass(frozen=True)
@@ -36,60 +43,74 @@ def _generators(g: EmbeddedGraph, edge_cap: int) -> list[int]:
     return sorted(gens)
 
 
-def _close(gens: list[int], visited: bytearray, w: int) -> int:
-    """Mark the orbit of w in ``visited`` by BFS and return its size.
+def _gray_walk(w: int, basis: list[int]) -> Iterator[int]:
+    """w XOR each of the 2^len(basis) sums of basis, in Gray-code order."""
+    yield w
+    for i in range(1, 1 << len(basis)):
+        w ^= basis[(i & -i).bit_length() - 1]
+        yield w
 
-    Only the current frontier is held, never the whole orbit.
+
+def _double(gens: list[int], visited: bytearray) -> list[int]:
+    """Mark the orbit of 0 in ``visited`` and return its doubling generators.
+
+    A generator not yet marked is outside the span of those before it, so
+    marking it XOR every marked coloring doubles the marked set.
     """
-    visited[w] = 1
-    size = 0
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            size += 1
-            for gen in gens:
-                v = u ^ gen
-                if not visited[v]:
-                    visited[v] = 1
-                    nxt.append(v)
-        frontier = nxt
-    return size
+    visited[0] = 1
+    basis: list[int] = []
+    for gen in gens:
+        if not visited[gen]:
+            for v in _gray_walk(gen, basis):
+                visited[v] = 1
+            basis.append(gen)
+    if visited.count(1) != 1 << len(basis):
+        raise InternalInvariantError("doubling did not mark 2^k colorings for k generators")
+    return basis
 
 
 def orbit_of(g: EmbeddedGraph, w: int, edge_cap: int = DEFAULT_EDGE_CAP) -> frozenset[int]:
-    """All colorings reachable from w by vertex and face moves."""
+    """All colorings reachable from w by vertex and face moves: w + S."""
     gens = _generators(g, edge_cap)
     total = 1 << g.edge_count
     if not 0 <= w < total:
         raise ValueError("coloring length does not match the edge count")
-    visited = bytearray(total)
-    _close(gens, visited, w)
-    return frozenset(compress(range(total), visited))
+    marks_of_0 = bytearray(total)
+    _double(gens, marks_of_0)
+    return frozenset(w ^ s for s in compress(range(total), marks_of_0))
 
 
 def enumerate_classes(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> OrbitCensus:
-    """Sweep all colorings and report the orbit census.
+    """Mark the orbit of 0 by doubling, then sweep the cosets in ascending order.
 
-    Representatives are the lexicographically smallest colorings of their
-    orbits (equivalently: smallest as integers, since the sweep ascends).
-    All orbits must share one size; anything else is reported as a bug.
+    Each unmarked coloring w is a representative, the smallest of its orbit
+    as an integer (equivalently, lexicographically).  Its coset w + S is
+    marked as w ^ h ^ s over the sums s of the first ``_LISTED`` doubling
+    generators and the sums h of the rest.  Both lists are built once per
+    census by Gray-code walks, of at most 4096 and 2^(|E| - 12) ints, so S
+    itself is never held and memory is the one bytearray of 2^|E| bytes.
+    Two counts check the marks exactly, with no test per mark: the doubling
+    marks 2^k colorings for its k generators, and, as the sweep leaves
+    every coloring marked and each coset writes ``orbit_size`` marks,
+    ``orbit_size * class_count == 2^|E|`` holds iff no mark landed on a
+    coloring already marked.
     """
     gens = _generators(g, edge_cap)
     total = 1 << g.edge_count
     visited = bytearray(total)
-    representatives = []
-    orbit_size = None
-    for w in range(total):
-        if visited[w]:
-            continue
+    basis = _double(gens, visited)
+    orbit_size = 1 << len(basis)
+    listed = list(_gray_walk(0, basis[:_LISTED]))
+    heads = list(_gray_walk(0, basis[_LISTED:]))
+    representatives = [0]  # the doubling marked S, the coset of 0
+    w = visited.find(0)
+    while w >= 0:
         representatives.append(w)
-        size = _close(gens, visited, w)
-        if orbit_size is None:
-            orbit_size = size
-        elif orbit_size != size:
-            raise InternalInvariantError("orbits of unequal size found")
-    assert orbit_size is not None
+        for h in heads:
+            h ^= w
+            for s in listed:
+                visited[h ^ s] = 1
+        w = visited.find(0, w + 1)
     if orbit_size * len(representatives) != total:
         raise InternalInvariantError("orbit census does not cover the coloring space")
     return OrbitCensus(g.edge_count, len(representatives), orbit_size, tuple(representatives))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable
 
-from . import brt, gf2, spaces
+from . import brt, gf2, oracle, spaces
 from .brt import (
     brt_by_sweep,
     brt_polynomial,
@@ -27,10 +27,7 @@ from .embedded import EmbeddedGraph
 from .errors import InternalInvariantError
 from .homology import class_count_homology, strand_kernel_basis, strand_kernel_dim, tree_cotree
 from .medial import strand_space, trace_medial
-from .oracle import enumerate_classes
 from .representatives import planar_representatives, verify_representatives
-
-ORACLE_LIMIT = 16  # full coloring sweeps stay cheap below this edge count
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,11 @@ def check_counts_agree(g: EmbeddedGraph) -> CheckResult:
     exact = spaces.exact_decimal
     detail = f"direct={exact(direct)} homology={exact(homological)}"
     ok = direct == homological
-    if ok and g.edge_count <= ORACLE_LIMIT:
-        swept = enumerate_classes(g).class_count
+    cap = oracle.DEFAULT_EDGE_CAP
+    if ok and g.edge_count > cap:
+        detail += f" oracle skipped ({g.edge_count} edges exceeds the sweep cap {cap})"
+    elif ok:
+        swept = oracle.enumerate_classes(g).class_count
         detail += f" oracle={swept}"
         ok = swept == direct
     return CheckResult("three-route-count", ok, detail)

@@ -455,3 +455,18 @@ def test_cap_out_of_range(capsys, paths, command, ceiling):
             main([command, "--cap", str(cap), *extra, paths["torus_grid"]])
         assert exc.value.code == 2
     assert main([command, "--cap", str(ceiling), *extra, paths["torus_grid"]]) == 0
+
+
+def test_count_and_oracle_at_the_sweep_cap(capsys, tmp_path):
+    # 11 digons: E = 22, the largest graph the oracle sweeps by default
+    p = tmp_path / "digons.rot"
+    p.write_text(format_rotation_system(digon_chain(11)), encoding="utf-8")
+    code, out = run(capsys, "count", "--method", "all", "--json", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["agreement"] == "ok"
+    assert doc["direct"] == doc["homology"] == doc["oracle"] == "2048"
+    code, out = run(capsys, "oracle", "--json", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["class_count"], doc["orbit_size"]) == ("2048", "2048")

@@ -22,6 +22,7 @@ from bicolorgame.homology import class_count_homology
 from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
 from bicolorgame.selfcheck import (
     ALL_CHECKS,
+    check_counts_agree,
     check_orthogonality,
     check_strand_lemma,
     check_tree_choice_invariance,
@@ -105,6 +106,12 @@ def test_all_checks_run_above_the_enumeration_caps():
     assert details["digons-23"]["plane-structure"] == (
         "bicycle dim=23; T(-1,-1) skipped (46 edges exceeds the enumeration cap 26)"
     )
+    for name, g in graphs.items():
+        sweep = f"oracle skipped ({g.edge_count} edges exceeds the sweep cap 22)"
+        assert details[name]["three-route-count"].endswith(f" {sweep}")
+    # up to the sweep cap itself the oracle leg runs
+    result = check_counts_agree(digon_chain(11))
+    assert (result.ok, result.detail) == (True, "direct=2048 homology=2048 oracle=2048")
 
 
 def test_plane_check_verifies_representatives_at_every_size(monkeypatch):

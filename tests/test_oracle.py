@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import count
 from random import Random
 
 import pytest
 
-from bicolorgame import spaces
-from bicolorgame.errors import EdgeCapError
+from bicolorgame import oracle, spaces
+from bicolorgame.errors import EdgeCapError, InternalInvariantError
 from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.homology import class_count_homology
 from bicolorgame.oracle import enumerate_classes, orbit_of
+from bicolorgame.random_graphs import random_planar_graph
 
 
 def move_generators(g) -> list[int]:
@@ -191,3 +193,63 @@ def test_census_independent_of_generator_order(two_triangles):
     assert len(orbits) == census.class_count
     assert {min(o) for o in orbits} == set(census.representatives)
     assert all(len(o) == census.orbit_size for o in orbits)
+
+
+@pytest.fixture(scope="module")
+def wide_orbits() -> list:
+    """Two plane graphs with E = 17 and orbits of 2^16 and 2^15: more
+    doubling generators than the sweep lists, so it also walks the rest."""
+    rng = Random(17)
+    graphs = []
+    while len(graphs) < 2:
+        g = random_planar_graph(rng, max_edges=17)
+        if g.edge_count == 17 and spaces.class_count_direct(g) > 1:
+            graphs.append(g)
+    return graphs
+
+
+def test_census_and_orbits_match_the_reference_beyond_the_listed_sums(wide_orbits):
+    rng = Random(29)
+    for g in wide_orbits:
+        census = enumerate_classes(g)
+        expected = reference_census(g)
+        assert (census.class_count, census.orbit_size, census.representatives) == expected
+        assert census.orbit_size >= 1 << 15
+        for w in (census.representatives[-1], rng.randrange(1 << g.edge_count)):
+            assert orbit_of(g, w) == reference_orbit(g, w)
+
+
+def _repeating(real, mutate=lambda call: True):
+    """A Gray walk that yields its first sum again in place of its last."""
+    calls = count()
+
+    def walk(w, basis):
+        sums = list(real(w, basis))
+        if mutate(next(calls)) and len(sums) > 1:
+            sums[-1] = sums[0]
+        return iter(sums)
+
+    return walk
+
+
+def test_a_repeated_sum_in_the_doubling_is_caught(monkeypatch, torus_grid):
+    monkeypatch.setattr(oracle, "_gray_walk", _repeating(oracle._gray_walk))
+    with pytest.raises(InternalInvariantError, match="doubling did not mark"):
+        enumerate_classes(torus_grid)
+    with pytest.raises(InternalInvariantError, match="doubling did not mark"):
+        orbit_of(torus_grid, 0)
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["listed", "walked"])
+def test_a_repeated_sum_in_the_sweep_is_caught(monkeypatch, wide_orbits, part):
+    # the doubling runs as is; then only the walk of one part repeats a sum
+    real_walk, real_double = oracle._gray_walk, oracle._double
+
+    def double_then_mutate(gens, visited):
+        basis = real_double(gens, visited)
+        monkeypatch.setattr(oracle, "_gray_walk", _repeating(real_walk, part.__eq__))
+        return basis
+
+    monkeypatch.setattr(oracle, "_double", double_then_mutate)
+    with pytest.raises(InternalInvariantError, match="does not cover the coloring space"):
+        enumerate_classes(wide_orbits[1])
