@@ -299,6 +299,11 @@ def _walk(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
             if bumped >= 0:
                 rank[bumped] -= 1
         j += 1
+    return _unpack(census, sk, se)
+
+
+def _unpack(census: list[int], sk: int, se: int) -> dict[tuple[int, int, int], int]:
+    """The nonzero counts of a flat census indexed k * sk + |H| * se + f, by (k, |H|, f)."""
     out: dict[tuple[int, int, int], int] = {}
     for index, count in enumerate(census):
         if count:
@@ -338,16 +343,21 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
 
     The plain per-mask sweep over ``EmbeddedGraph.subset_counter``, kept
     as the oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
+    Each mask is rebuilt and re-traced on its own; with :func:`_walk` it
+    shares only the flat census layout k * sk + |H| * se + f, where
+    f <= nv + |H|, and :func:`_unpack`.
     """
     m = g.edge_count
     _check_cap(m, DEFAULT_EDGE_CAP)
     count = g.subset_counter()
-    census: dict[tuple[int, int, int], int] = {}
+    nv = g.vertex_count
+    se = nv + m + 1
+    sk = (m + 1) * se
+    census = [0] * ((nv + 1) * sk)
     for mask in range(1 << m):
         k, f = count(mask)
-        key = (k, mask.bit_count(), f)
-        census[key] = census.get(key, 0) + 1
-    return _ribbon_polynomial(g, census)
+        census[k * sk + mask.bit_count() * se + f] += 1
+    return _ribbon_polynomial(g, _unpack(census, sk, se))
 
 
 def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:

@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable
 
+from . import gf2
 from .errors import InternalInvariantError, InvalidGraphError, RotationParseError
 from .gf2 import GF2Matrix
 
@@ -264,6 +265,15 @@ class EmbeddedGraph:
                 rows[fb] |= 1 << j
         return GF2Matrix(self.edge_count, tuple(rows))
 
+    @cached_property
+    def cocycle_intersection(self) -> GF2Matrix:
+        """RREF basis of U cap U*, the row spaces of the two incidence matrices.
+
+        One Zassenhaus elimination per graph, read by every check that
+        compares U cap U* with the strand space or the strand kernel.
+        """
+        return gf2.row_space_intersection_basis(self.incidence_matrix, self.dual_incidence_matrix)
+
     def is_cycle(self, u: int) -> bool:
         """True iff the edge set u lies in the cycle space.
 
@@ -294,31 +304,57 @@ class EmbeddedGraph:
 
         k(H) counts connected components of the spanning subgraph (all
         vertices kept) and f(H) its faces when re-traced as a ribbon
-        subgraph, with one face per isolated vertex.  The returned
-        callable owns its scratch buffers, so each call site is
-        independent and safe to use concurrently.
+        subgraph, with one face per isolated vertex.  Each call rebuilds
+        H from its set bits alone: per present edge one union-find step,
+        then the face through each of its darts not yet traced.  A face
+        is an orbit of phi_H(d) = sigma_H(alpha(d)), the first present
+        dart after alpha(d) in its rotation; the scan stops at alpha(d)
+        itself at the latest.  The gaps scanned at one vertex are
+        disjoint, so they total at most its degree, and a call costs
+        O(V) plus the present edges and the degrees of their endpoints.
+        A mask outside [0, 2^E) raises :class:`ValueError`, as in
+        :meth:`is_cycle`.  The returned callable owns its scratch buffers,
+        so each call site is independent and safe to use concurrently.
         """
+        m = self.edge_count
         index_of = {d: i for i, d in enumerate(sorted(self.alpha))}
-        alpha_ix = [index_of[self.alpha[d]] for d in index_of]
-        edge_ix = [self.dart_edge[d] for d in index_of]
-        rot_ix = [[index_of[d] for d in rot] for rot in self.rotations]
-        endpoints = [self.edge_endpoints(j) for j in range(self.edge_count)]
+        bit = [1 << self.dart_edge[d] for d in index_of]
+        # every rotation written out twice, so the darts after alpha(x) run
+        # on from after[x] without wrapping, up to alpha(x)'s second copy
+        ring: list[int] = []
+        after = [0] * len(bit)
+        vertex_masks = []
+        for rot in self.rotations:
+            darts = [index_of[d] for d in rot]
+            for i, d in enumerate(rot):
+                after[index_of[self.alpha[d]]] = len(ring) + i + 1
+            ring += darts + darts
+            vertex_mask = 0
+            for x in darts:
+                vertex_mask |= bit[x]
+            vertex_masks.append(vertex_mask)
+        ring_bit = [bit[x] for x in ring]
+        dv = self.dart_vertex
+        edges = [(dv[a], dv[b], (index_of[a], index_of[b])) for a, b in self.edge_darts]
         nv = self.vertex_count
-        nd = len(alpha_ix)
-        sigma_sub = [0] * nd
-        seen = [0] * nd
+        seen = [0] * len(bit)
         parent = list(range(nv))
         stamp = 0
 
         def count(mask: int) -> tuple[int, int]:
             nonlocal stamp
+            # a negative mask never runs out of set bits
+            if mask < 0 or mask >> m:
+                raise ValueError("vector length does not match the edge count")
             stamp += 1
-            # component count via union-find over all vertices
             parent[:] = range(nv)
             k = nv
-            for j, (u, w) in enumerate(endpoints):
-                if not (mask >> j) & 1:
-                    continue
+            faces = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u, w, darts = edges[low.bit_length() - 1]
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
@@ -328,31 +364,19 @@ class EmbeddedGraph:
                 if u != w:
                     parent[u] = w
                     k -= 1
-            # restricted rotation successor and isolated-vertex faces
-            faces = 0
-            for rot in rot_ix:
-                first = -1
-                prev = -1
-                for d in rot:
-                    if (mask >> edge_ix[d]) & 1:
-                        if first < 0:
-                            first = d
-                        else:
-                            sigma_sub[prev] = d
-                        prev = d
-                if first < 0:
+                for x in darts:
+                    if seen[x] == stamp:
+                        continue
                     faces += 1
-                else:
-                    sigma_sub[prev] = first
-            # face orbits of d -> sigma_sub(alpha(d)) over present darts
-            for start in range(nd):
-                if not (mask >> edge_ix[start]) & 1 or seen[start] == stamp:
-                    continue
-                d = start
-                while seen[d] != stamp:
-                    seen[d] = stamp
-                    d = sigma_sub[alpha_ix[d]]
-                faces += 1
+                    while seen[x] != stamp:
+                        seen[x] = stamp
+                        i = after[x]
+                        while not ring_bit[i] & mask:
+                            i += 1
+                        x = ring[i]
+            for vertex_mask in vertex_masks:
+                if not vertex_mask & mask:
+                    faces += 1
             return k, faces
 
         return count

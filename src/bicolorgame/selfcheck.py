@@ -166,14 +166,13 @@ def check_component_count_identity(g: EmbeddedGraph) -> CheckResult:
 
 
 def check_inclusions(g: EmbeddedGraph) -> CheckResult:
-    inter = gf2.row_space_intersection_basis(g.incidence_matrix, g.dual_incidence_matrix)
     mc = trace_medial(g)
     try:
         strands = strand_space(mc)
     except InternalInvariantError as exc:
         return CheckResult("inclusion-chain", False, f"no strand space: {exc}")
     # strands is a basis, so adding U cap U* raises the rank unless it lies inside
-    if gf2.rank(gf2.stack(strands, inter)) != strands.nrows:
+    if gf2.rank(gf2.stack(strands, g.cocycle_intersection)) != strands.nrows:
         return CheckResult("inclusion-chain", False, "U cap U* not inside the strand space")
     if not _all_double_cycles(g, strands.rows):
         return CheckResult("inclusion-chain", False, "strand space leaves the double cycle space")
@@ -182,8 +181,7 @@ def check_inclusions(g: EmbeddedGraph) -> CheckResult:
 
 def check_kernel_subspace(g: EmbeddedGraph) -> CheckResult:
     kernel = strand_kernel_basis(g)
-    inter = gf2.row_space_intersection_basis(g.incidence_matrix, g.dual_incidence_matrix)
-    if not gf2.row_space_equal(kernel, inter):
+    if not gf2.row_space_equal(kernel, g.cocycle_intersection):
         return CheckResult("homology-kernel", False, "ker on strands differs from U cap U*")
     dual_kernel = strand_kernel_basis(g.dual())
     if not gf2.row_space_equal(kernel, dual_kernel):

@@ -7,7 +7,7 @@ from math import comb
 from random import Random
 
 import pytest
-from conftest import digon_chain
+from conftest import digon_chain, interlaced_bouquet
 
 import bicolorgame.brt as brt_module
 from bicolorgame.brt import (
@@ -139,10 +139,12 @@ DEGENERATE = {
 
 def test_z_one_specialization_matches_rank_oracle(random_batch, planar_batch):
     # the depth-first BRT must equal the per-mask sweep in all three
-    # variables, and the rank polynomial must equal the sweep at z = 1
+    # variables, and the rank polynomial must equal the sweep at z = 1;
+    # the bouquet's one vertex of degree 32 gives the sweep its longest
+    # rotation scans
     degenerate = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
     fixtures = [load_fixture(name) for name in fixture_names()]
-    for g in [*fixtures, *degenerate, *random_batch, *planar_batch]:
+    for g in [*fixtures, *degenerate, interlaced_bouquet(8), *random_batch, *planar_batch]:
         swept = brt_by_sweep(g)
         assert brt_polynomial(g) == swept
         assert whitney_rank_polynomial(g) == swept.specialize_z_one()

@@ -9,7 +9,7 @@ import pytest
 from bicolorgame import gf2
 from bicolorgame.embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
 from bicolorgame.errors import InvalidGraphError, RotationParseError
-from bicolorgame.fixtures import load_fixture
+from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.medial import trace_medial
 
 # expected incidence data for the torus fixtures, frozen as regression values
@@ -234,6 +234,92 @@ def test_is_cycle_is_orthogonality_to_the_incidence_rows(random_batch):
             for u in (-1, 1 << e, (1 << e) | 1):
                 with pytest.raises(ValueError, match="vector length does not match"):
                     h.is_cycle(u)
+
+
+def reference_subset_counter(g):
+    """Reference: the counter that rebuilds sigma_H and re-traces every dart, per mask."""
+    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
+    alpha_ix = [index_of[g.alpha[d]] for d in index_of]
+    edge_ix = [g.dart_edge[d] for d in index_of]
+    rot_ix = [[index_of[d] for d in rot] for rot in g.rotations]
+    endpoints = [g.edge_endpoints(j) for j in range(g.edge_count)]
+    nv = g.vertex_count
+    nd = len(alpha_ix)
+    sigma_sub = [0] * nd
+    seen = [0] * nd
+    parent = list(range(nv))
+    stamp = 0
+
+    def count(mask: int) -> tuple[int, int]:
+        nonlocal stamp
+        stamp += 1
+        # component count via union-find over all vertices
+        parent[:] = range(nv)
+        k = nv
+        for j, (u, w) in enumerate(endpoints):
+            if not (mask >> j) & 1:
+                continue
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if u != w:
+                parent[u] = w
+                k -= 1
+        # restricted rotation successor and isolated-vertex faces
+        faces = 0
+        for rot in rot_ix:
+            first = -1
+            prev = -1
+            for d in rot:
+                if (mask >> edge_ix[d]) & 1:
+                    if first < 0:
+                        first = d
+                    else:
+                        sigma_sub[prev] = d
+                    prev = d
+            if first < 0:
+                faces += 1
+            else:
+                sigma_sub[prev] = first
+        # face orbits of d -> sigma_sub(alpha(d)) over present darts
+        for start in range(nd):
+            if not (mask >> edge_ix[start]) & 1 or seen[start] == stamp:
+                continue
+            d = start
+            while seen[d] != stamp:
+                seen[d] = stamp
+                d = sigma_sub[alpha_ix[d]]
+            faces += 1
+        return k, faces
+
+    return count
+
+
+def test_subset_counter_matches_the_reference(random_batch):
+    # every mask, ascending then descending on the same counter, so that a
+    # mark left by one call and read by the next would show
+    graphs = [g for g in random_batch if g.edge_count <= 10]
+    graphs += [load_fixture(name) for name in fixture_names()]
+    for g in graphs:
+        count, reference = g.subset_counter(), reference_subset_counter(g)
+        masks = range(1 << g.edge_count)
+        expected = [reference(mask) for mask in masks]
+        assert [count(mask) for mask in masks] == expected
+        assert [count(mask) for mask in reversed(masks)] == expected[::-1]
+        assert count(masks[-1]) == count(masks[-1]) == expected[-1]
+
+
+def test_subset_counter_rejects_masks_outside_the_edges(torus_grid, torus_rose):
+    for g in (torus_grid, torus_rose):
+        count = g.subset_counter()
+        e = g.edge_count
+        for mask in (-1, -(1 << e), 1 << e, (1 << e) | 1):
+            with pytest.raises(ValueError, match="vector length does not match the edge count"):
+                count(mask)
+        assert count((1 << e) - 1) == (1, g.face_count)
 
 
 def test_sub_ribbon_conventions(torus_grid):

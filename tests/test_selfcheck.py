@@ -16,6 +16,7 @@ from conftest import digon_chain, long_decimal
 
 from bicolorgame import gf2, selfcheck, spaces
 from bicolorgame.brt import TrivariatePolynomial
+from bicolorgame.fixtures import load_fixture
 from bicolorgame.gf2 import GF2Matrix
 
 
@@ -216,6 +217,40 @@ def test_inclusions_fail_on_a_strand_row_off_the_double_cycles(monkeypatch, toru
     )
     result = selfcheck.check_inclusions(torus_grid)
     assert (result.ok, result.detail) == (False, "strand space leaves the double cycle space")
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    [
+        (selfcheck.check_inclusions, "U cap U* not inside the strand space"),
+        (selfcheck.check_kernel_subspace, "ker on strands differs from U cap U*"),
+    ],
+    ids=["inclusions", "kernel"],
+)
+def test_checks_compare_the_graphs_u_cap_u_star_with_the_strand_routes(
+    check, detail, monkeypatch, torus_grid
+):
+    # a one-edge row is no double cycle, so neither strand route contains it
+    assert check(torus_grid).ok
+    fake = GF2Matrix(torus_grid.edge_count, (1,))
+    monkeypatch.setitem(torus_grid.__dict__, "cocycle_intersection", fake)
+    result = check(torus_grid)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+def test_all_checks_eliminate_u_cap_u_star_once(monkeypatch):
+    g = load_fixture("torus_grid")  # a fresh graph: nothing cached yet
+    real = gf2.row_space_intersection_basis
+    calls = []
+
+    def counting(a, b):
+        if (a, b) == (g.incidence_matrix, g.dual_incidence_matrix):
+            calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(gf2, "row_space_intersection_basis", counting)
+    assert not selfcheck.failed_checks(selfcheck.run_all_checks(g))
+    assert len(calls) == 1
 
 
 def test_count_detail_prints_counts_beyond_the_int_digit_limit(monkeypatch):
