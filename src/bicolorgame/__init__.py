@@ -40,7 +40,7 @@ from .homology import (
     tree_cotree,
 )
 from .medial import MedialComponents, strand_space, trace_medial
-from .oracle import OrbitCensus, enumerate_classes, orbit_of
+from .oracle import OrbitCensus, enumerate_classes
 from .representatives import RepresentativeSet, planar_representatives, verify_representatives
 from .spaces import (
     SpaceSummary,
@@ -88,7 +88,6 @@ __all__ = [
     "fundamental_dual_cycles",
     "homology_image",
     "medial_component_count_via_brt",
-    "orbit_of",
     "parse_rotation_system",
     "planar_representatives",
     "same_class",

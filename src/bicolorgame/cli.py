@@ -297,7 +297,7 @@ def cmd_oracle(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     lines: Iterable[str] = [f"classes    {doc['class_count']}", f"orbit size {doc['orbit_size']}"]
     if args.reps:
         # streamed by _emit from the document or the lines, whichever it writes
-        strings = (spaces.coloring_to_string(g, w) for w in census.representatives)
+        strings = (spaces.coloring_to_string(g, w) for w in census.representatives())
         doc["representatives"] = strings
         lines = chain(lines, strings)
     return doc, lines, 0

@@ -13,7 +13,7 @@ census is an independent referee for both counting routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterator
 
@@ -22,16 +22,26 @@ from .errors import EdgeCapError, InternalInvariantError
 
 DEFAULT_EDGE_CAP = 22
 _LISTED = 12  # the sums of this many doubling generators are listed once per census
+_REPRESENTATIVE = bytes(b == 2 for b in range(256))  # translate table: 2 -> 1, else 0
 
 
 @dataclass(frozen=True)
 class OrbitCensus:
-    """Orbit partition of all 2^|E| colorings under the two moves."""
+    """Orbit partition of all 2^|E| colorings under the two moves.
+
+    ``marks`` holds one byte per coloring: 2 on each class representative,
+    1 on every other coloring.  It is the census's only store of the
+    representatives and stays out of ``==``, ``repr`` and ``hash``.
+    """
 
     edge_count: int
     class_count: int
     orbit_size: int
-    representatives: tuple[int, ...]
+    marks: bytearray = field(compare=False, repr=False)
+
+    def representatives(self) -> Iterator[int]:
+        """The representatives in ascending order, read lazily from the marks."""
+        return compress(range(len(self.marks)), self.marks.translate(_REPRESENTATIVE))
 
 
 def _generators(g: EmbeddedGraph, edge_cap: int) -> list[int]:
@@ -69,17 +79,6 @@ def _double(gens: list[int], visited: bytearray) -> list[int]:
     return basis
 
 
-def orbit_of(g: EmbeddedGraph, w: int, edge_cap: int = DEFAULT_EDGE_CAP) -> frozenset[int]:
-    """All colorings reachable from w by vertex and face moves: w + S."""
-    gens = _generators(g, edge_cap)
-    total = 1 << g.edge_count
-    if not 0 <= w < total:
-        raise ValueError("coloring length does not match the edge count")
-    marks_of_0 = bytearray(total)
-    _double(gens, marks_of_0)
-    return frozenset(w ^ s for s in compress(range(total), marks_of_0))
-
-
 def enumerate_classes(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> OrbitCensus:
     """Mark the orbit of 0 by doubling, then sweep the cosets in ascending order.
 
@@ -88,7 +87,8 @@ def enumerate_classes(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Orb
     marked as w ^ h ^ s over the sums s of the first ``_LISTED`` doubling
     generators and the sums h of the rest.  Both lists are built once per
     census by Gray-code walks, of at most 4096 and 2^(|E| - 12) ints, so S
-    itself is never held and memory is the one bytearray of 2^|E| bytes.
+    itself is never held and memory is the one bytearray of 2^|E| bytes,
+    where each representative's mark becomes 2 once its coset is marked.
     Two counts check the marks exactly, with no test per mark: the doubling
     marks 2^k colorings for its k generators, and, as the sweep leaves
     every coloring marked and each coset writes ``orbit_size`` marks,
@@ -102,15 +102,17 @@ def enumerate_classes(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Orb
     orbit_size = 1 << len(basis)
     listed = list(_gray_walk(0, basis[:_LISTED]))
     heads = list(_gray_walk(0, basis[_LISTED:]))
-    representatives = [0]  # the doubling marked S, the coset of 0
+    visited[0] = 2  # the doubling marked S, the coset of 0
+    class_count = 1
     w = visited.find(0)
     while w >= 0:
-        representatives.append(w)
+        class_count += 1
         for h in heads:
             h ^= w
             for s in listed:
                 visited[h ^ s] = 1
+        visited[w] = 2
         w = visited.find(0, w + 1)
-    if orbit_size * len(representatives) != total:
+    if orbit_size * class_count != total:
         raise InternalInvariantError("orbit census does not cover the coloring space")
-    return OrbitCensus(g.edge_count, len(representatives), orbit_size, tuple(representatives))
+    return OrbitCensus(g.edge_count, class_count, orbit_size, visited)

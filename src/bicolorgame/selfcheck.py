@@ -198,7 +198,7 @@ def check_tree_choice_invariance(g: EmbeddedGraph) -> CheckResult:
 
 
 def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
-    want = gf2.rank(gf2.stack(g.incidence_matrix, g.dual_incidence_matrix))
+    want = gf2.rank(spaces.moves_matrix(g))
     for v in range(g.vertex_count):
         for f in spaces.incident_faces(g, v):
             if gf2.rank(spaces.bot_matrix(g, v, f)) != want:
@@ -225,8 +225,7 @@ def check_rank_oracle(g: EmbeddedGraph) -> CheckResult:
 def check_genus_zero(g: EmbeddedGraph) -> CheckResult:
     if g.genus != 0:
         return CheckResult("plane-structure", True, "skipped (genus > 0)")
-    cycles = gf2.kernel_basis(g.incidence_matrix)
-    if not gf2.row_space_equal(g.dual_incidence_matrix, cycles):
+    if not gf2.row_space_equal(g.dual_incidence_matrix, spaces.cycle_space(g)):
         return CheckResult("plane-structure", False, "dual cut space differs from cycle space")
     b = spaces.bicycle_space(g).nrows
     detail = f"bicycle dim={b}"

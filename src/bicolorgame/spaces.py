@@ -82,18 +82,25 @@ def exact_decimal(value: int | Fraction) -> str:
     return str(Decimal(value))
 
 
+def _coloring(edge_count: int, w: int) -> int:
+    """w itself, once it is checked to be a coloring of ``edge_count`` edges."""
+    if w < 0 or w >> edge_count:
+        raise ValueError("coloring length does not match the edge count")
+    return w
+
+
 def apply_vertex_move(g: EmbeddedGraph, w: int, vertex: int) -> int:
     """Switch the colors of all non-loop edges at the vertex."""
     if not 0 <= vertex < g.vertex_count:
         raise IndexError(f"vertex index {vertex} out of range")
-    return w ^ g.incidence_matrix.rows[vertex]
+    return _coloring(g.edge_count, w) ^ g.incidence_matrix.rows[vertex]
 
 
 def apply_face_move(g: EmbeddedGraph, w: int, face: int) -> int:
     """Switch the colors of the edges appearing once on the face boundary."""
     if not 0 <= face < g.face_count:
         raise IndexError(f"face index {face} out of range")
-    return w ^ g.dual_incidence_matrix.rows[face]
+    return _coloring(g.edge_count, w) ^ g.dual_incidence_matrix.rows[face]
 
 
 def class_exponent(g: EmbeddedGraph) -> int:
@@ -108,10 +115,8 @@ def class_count_direct(g: EmbeddedGraph) -> int:
 
 def same_class(g: EmbeddedGraph, w1: int, w2: int) -> bool:
     """True iff the two colorings differ by a sequence of moves."""
-    for w in (w1, w2):
-        if w < 0 or w >> g.edge_count:
-            raise ValueError("coloring length does not match the edge count")
-    return gf2.in_row_space(moves_matrix(g), w1 ^ w2)
+    u = _coloring(g.edge_count, w1) ^ _coloring(g.edge_count, w2)
+    return gf2.in_row_space(moves_matrix(g), u)
 
 
 def signature_basis(g: EmbeddedGraph) -> GF2Matrix:
@@ -130,6 +135,7 @@ def class_signature(basis: GF2Matrix, w: int) -> int:
     colorings of g.  Two colorings have equal signatures iff ``same_class``
     holds.
     """
+    w = _coloring(basis.ncols, w)
     sig = 0
     for i, z in enumerate(basis.rows):
         if gf2.dot(z, w):
@@ -168,11 +174,9 @@ def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = N
 
 
 def summarize(g: EmbeddedGraph) -> SpaceSummary:
-    inc = g.incidence_matrix
-    dual_inc = g.dual_incidence_matrix
-    dim_u = gf2.rank(inc)
-    dim_us = gf2.rank(dual_inc)
-    dim_sum = gf2.rank(gf2.stack(inc, dual_inc))
+    dim_u = gf2.rank(g.incidence_matrix)
+    dim_us = gf2.rank(g.dual_incidence_matrix)
+    dim_sum = gf2.rank(moves_matrix(g))
     return SpaceSummary(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,

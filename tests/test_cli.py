@@ -393,6 +393,59 @@ def test_reps_json_streams_its_colorings_in_bounded_memory(tmp_path):
     assert len(doc["colorings"]) == 1 << 19
 
 
+def _oracle_under_64_mb(rot: str, argv: list[str], out) -> None:
+    """Run one oracle command on ``rot`` under a 64 MB address-space limit."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    with open(out, "w", encoding="utf-8") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicolorgame.cli", *argv, rot],
+            stdout=fh, stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr[-1024:]
+
+
+def test_oracle_count_at_the_cap_in_bounded_memory(tmp_path):
+    # 11 interlaced loop pairs: E = 22, the sweep cap, and 2^22 classes of one coloring each
+    p = tmp_path / "bouquet.rot"
+    p.write_text(format_rotation_system(interlaced_bouquet(11)), encoding="utf-8")
+    out = tmp_path / "count.txt"
+    _oracle_under_64_mb(str(p), ["count", "--method", "oracle"], out)
+    assert out.read_text(encoding="utf-8") == f"oracle    {1 << 22}\n"
+
+
+def test_oracle_reps_stream_in_bounded_memory(tmp_path):
+    # 10 interlaced loop pairs: 2^20 representatives, listed as text and as JSON
+    p = tmp_path / "bouquet.rot"
+    p.write_text(format_rotation_system(interlaced_bouquet(10)), encoding="utf-8")
+    text, doc = tmp_path / "reps.txt", tmp_path / "reps.json"
+    _oracle_under_64_mb(str(p), ["oracle", "--reps"], text)
+    _oracle_under_64_mb(str(p), ["oracle", "--reps", "--json"], doc)
+    with open(text, encoding="utf-8") as fh:
+        assert [next(fh), next(fh), next(fh)] == [
+            f"classes    {1 << 20}\n", "orbit size 1\n", "0" * 20 + "\n",
+        ]
+        count, last = 3, None
+        for last in fh:
+            count += 1
+    assert last == "1" * 20 + "\n"
+    assert count == (1 << 20) + 2
+    # the document lists the same colorings in the same order as the text lines
+    with open(text, encoding="utf-8") as ft, open(doc, encoding="utf-8") as fj:
+        prefix = f'{{"class_count":"{1 << 20}","command":"oracle","orbit_size":"1","representatives":['
+        assert fj.read(len(prefix)) == prefix
+        next(ft), next(ft)
+        separator = ""
+        for line in ft:
+            item = f'{separator}"{line.rstrip()}"'
+            assert fj.read(len(item)) == item
+            separator = ","
+        assert fj.read() == "]}\n"
+
+
 def test_emit_streams_iterator_fields_as_json_lists():
     listed = {"b": ["x", "y"], "a": 1, "c": {"z": [1], "y": "\u00e9"}, "d": []}
     doc = dict(listed, b=iter(listed["b"]), d=iter(listed["d"]))

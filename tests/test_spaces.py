@@ -81,6 +81,21 @@ def test_same_class(torus_grid):
         spaces.same_class(torus_grid, 1 << 9, 0)
 
 
+@pytest.mark.parametrize("w", [-1, 1 << 9, (1 << 9) | 1, -(1 << 9)])
+def test_out_of_range_colorings_are_refused(torus_grid, w):
+    # the torus grid has 9 edges: a negative coloring or a bit at 9 or above is no coloring
+    basis = spaces.signature_basis(torus_grid)
+    message = "coloring length does not match the edge count"
+    with pytest.raises(ValueError, match=message):
+        spaces.apply_vertex_move(torus_grid, w, 0)
+    with pytest.raises(ValueError, match=message):
+        spaces.apply_face_move(torus_grid, w, 0)
+    with pytest.raises(ValueError, match=message):
+        spaces.class_signature(basis, w)
+    with pytest.raises(ValueError, match=message):
+        spaces.same_class(torus_grid, 0, w)
+
+
 def test_signature_complete_invariant(torus_grid):
     # exhaustive sweep: exactly 8 distinct signatures over all 2^9 colorings,
     # constant on classes and equal iff same_class
