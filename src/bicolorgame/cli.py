@@ -113,34 +113,23 @@ def _emit(args: argparse.Namespace, document: dict[str, Any], lines: Iterable[st
 def cmd_info(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     s = spaces.summarize(g)
     count = exact_decimal(s.class_count)
-    doc = {
-        "command": "info",
-        "vertices": s.vertex_count,
-        "edges": s.edge_count,
-        "faces": s.face_count,
-        "genus": s.genus,
-        "dim_cocycle": s.dim_cocycle,
-        "dim_dual_cocycle": s.dim_dual_cocycle,
-        "dim_cycle": s.dim_cycle,
-        "dim_sum": s.dim_sum,
-        "dim_intersection": s.dim_intersection,
-        "bicycle_dim": s.bicycle_dim,
-        "class_exponent": s.class_exponent,
-        "class_count": count,
-    }
-    lines = [
-        f"vertices            {s.vertex_count}",
-        f"edges               {s.edge_count}",
-        f"faces               {s.face_count}",
-        f"genus               {s.genus}",
-        f"dim U (cuts)        {s.dim_cocycle}",
-        f"dim U* (dual cuts)  {s.dim_dual_cocycle}",
-        f"dim cycle space     {s.dim_cycle}",
-        f"dim (U + U*)        {s.dim_sum}",
-        f"dim (U cap U*)      {s.dim_intersection}",
-        f"bicycle dimension   {s.bicycle_dim}",
-        f"class count         {count} = 2^{s.class_exponent}",
+    fields = [  # JSON key, text label (None: JSON only), value
+        ("vertices", "vertices", s.vertex_count),
+        ("edges", "edges", s.edge_count),
+        ("faces", "faces", s.face_count),
+        ("genus", "genus", s.genus),
+        ("dim_cocycle", "dim U (cuts)", s.dim_cocycle),
+        ("dim_dual_cocycle", "dim U* (dual cuts)", s.dim_dual_cocycle),
+        ("dim_cycle", "dim cycle space", s.dim_cycle),
+        ("dim_sum", "dim (U + U*)", s.dim_sum),
+        ("dim_intersection", "dim (U cap U*)", s.dim_intersection),
+        ("bicycle_dim", "bicycle dimension", s.bicycle_dim),
+        ("class_exponent", None, s.class_exponent),
+        ("class_count", "class count", count),
     ]
+    doc = {"command": "info", **{key: value for key, _, value in fields}}
+    lines = [f"{label:20}{value}" for _, label, value in fields if label]
+    lines[-1] += f" = 2^{s.class_exponent}"
     return doc, lines, 0
 
 
@@ -217,7 +206,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         raise InvalidGraphError(str(exc)) from None
     cycles = homology.fundamental_dual_cycles(g, tc)
     basis, images = homology.strand_image_matrix(g, cycles)
-    b = homology.strand_kernel(basis, images).nrows
+    b = gf2.cancelling(basis, images).nrows
     count = exact_decimal(1 << (2 * g.genus + b))
     cycle_rows, image_rows = cycles.row_strings(), images.row_strings()
     doc = {

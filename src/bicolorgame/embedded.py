@@ -237,17 +237,23 @@ class EmbeddedGraph:
 
     # -- incidence matrices --------------------------------------------------
 
-    @cached_property
-    def incidence_matrix(self) -> GF2Matrix:
-        """Vertex-edge incidence over GF(2); loops contribute zero columns."""
-        rows = [0] * self.vertex_count
-        dv = self.dart_vertex
+    def _incidence(self, end_of_dart: dict[int, int], count: int) -> GF2Matrix:
+        """``count`` rows; edge j lies in the rows of its two darts' ends.
+
+        An edge whose darts share an end appears there twice and cancels.
+        """
+        rows = [0] * count
         for j, (a, b) in enumerate(self.edge_darts):
-            u, w = dv[a], dv[b]
+            u, w = end_of_dart[a], end_of_dart[b]
             if u != w:
                 rows[u] |= 1 << j
                 rows[w] |= 1 << j
         return GF2Matrix(self.edge_count, tuple(rows))
+
+    @cached_property
+    def incidence_matrix(self) -> GF2Matrix:
+        """Vertex-edge incidence over GF(2); loops contribute zero columns."""
+        return self._incidence(self.dart_vertex, self.vertex_count)
 
     @cached_property
     def dual_incidence_matrix(self) -> GF2Matrix:
@@ -256,14 +262,7 @@ class EmbeddedGraph:
         Entry (f, j) is the parity of how often edge j appears on the
         boundary walk of face f, so bridges traversed twice cancel out.
         """
-        rows = [0] * self.face_count
-        face_of = self.faces.face_of_dart
-        for j, (a, b) in enumerate(self.edge_darts):
-            fa, fb = face_of[a], face_of[b]
-            if fa != fb:
-                rows[fa] |= 1 << j
-                rows[fb] |= 1 << j
-        return GF2Matrix(self.edge_count, tuple(rows))
+        return self._incidence(self.faces.face_of_dart, self.face_count)
 
     @cached_property
     def cocycle_intersection(self) -> GF2Matrix:

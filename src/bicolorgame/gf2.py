@@ -6,10 +6,11 @@ XOR and AND on ints work a machine word at a time, so a row of a few
 thousand columns costs a few dozen word operations.
 
 Every query (rank, kernel, membership, sum and intersection of row
-spaces) goes through one elimination, ``rref``.  It inserts the rows in
-ascending order of their lowest set bit into a basis keyed by pivot
-column, reducing a row against the basis row that owns its lowest bit
-until the bit is new, then back-substitutes from the highest pivot down.
+spaces, the cancelling sums of paired rows) goes through one
+elimination, ``rref``.  It inserts the rows in ascending order of their
+lowest set bit into a basis keyed by pivot column, reducing a row
+against the basis row that owns its lowest bit until the bit is new,
+then back-substitutes from the highest pivot down.
 Work grows with the fill-in, not with rows x columns, which keeps sparse
 incidence matrices cheap.  The presort lowers the fill-in, and keying by
 the column index keeps each lookup cheap: a key of ``v & -v`` would be an
@@ -25,6 +26,15 @@ from typing import Iterable, Iterator
 def dot(u: int, v: int) -> int:
     """Inner product over GF(2): parity of the shared 1-bits."""
     return (u & v).bit_count() & 1
+
+
+def parities(m: GF2Matrix, v: int) -> int:
+    """The products of v with every row of m: bit i is ``dot(m.rows[i], v)``."""
+    out = 0
+    for i, row in enumerate(m.rows):
+        if dot(row, v):
+            out |= 1 << i
+    return out
 
 
 def vector_from_string(bits: str) -> int:
@@ -144,21 +154,34 @@ def kernel_basis(m: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(m.ncols, tuple((1 << col) | v for col, v in fill.items()))
 
 
+def cancelling(vectors: GF2Matrix, images: GF2Matrix) -> GF2Matrix:
+    """RREF basis of the sums of vectors whose paired images sum to zero.
+
+    ``vectors.rows[i]`` is paired with ``images.rows[i]``.  One elimination
+    of the rows ``image | vector << k``, k = ``images.ncols``: the reduced
+    rows whose low k bits are zero, shifted down by k, span the result.
+    They are already its RREF, since each such row's lowest bit is its
+    pivot and no other row holds that bit.
+    """
+    if vectors.nrows != images.nrows:
+        raise ValueError(f"row mismatch: {vectors.nrows} vs {images.nrows}")
+    k = images.ncols
+    rows = tuple(image | (v << k) for image, v in zip(images.rows, vectors.rows))
+    red, _ = rref(GF2Matrix(k + vectors.ncols, rows))
+    low = (1 << k) - 1
+    return GF2Matrix(vectors.ncols, tuple(r >> k for r in red.rows if not (r & low)))
+
+
 def row_space_intersection_basis(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Basis of (row space of a) ∩ (row space of b), via the Zassenhaus layout.
 
-    Rows [x | x] for a and [y | 0] for b are reduced together; surviving
-    rows whose left block vanished carry the intersection in the right block.
+    Rows [y | 0] for b and [x | x] for a are reduced together: the sums of
+    a's rows that cancel against b's rows are the intersection.
     """
-    if a.ncols != b.ncols:
-        raise ValueError(f"column mismatch: {a.ncols} vs {b.ncols}")
-    n = a.ncols
-    ext_rows = list(b.rows) + [r | (r << n) for r in a.rows]
-    red, _ = rref(GF2Matrix(2 * n, tuple(ext_rows)))
-    low_mask = (1 << n) - 1
-    inter = [row >> n for row in red.rows if not (row & low_mask)]
-    out, _ = rref(GF2Matrix(n, tuple(inter)))
-    return out
+    inter = cancelling(GF2Matrix(a.ncols, (0,) * b.nrows + a.rows), stack(b, a))
+    # ``inter`` is already in RREF.  This second elimination stays while
+    # perfbench/test_perfbench.py pins ``info`` at six (ROADMAP item 1).
+    return rref(inter)[0]
 
 
 def in_row_space(a: GF2Matrix, v: int) -> bool:

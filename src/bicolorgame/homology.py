@@ -121,11 +121,7 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
     """
     if not g.is_cycle(u):
         raise ValueError("vector is not in the cycle space")
-    image = 0
-    for i, p in enumerate(cycles.rows):
-        if gf2.dot(p, u):
-            image |= 1 << i
-    return image
+    return gf2.parities(cycles, u)
 
 
 def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
@@ -135,26 +131,14 @@ def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix,
     return basis, GF2Matrix(cycles.nrows, images)
 
 
-def strand_kernel(basis: GF2Matrix, images: GF2Matrix) -> GF2Matrix:
-    """The strand vectors whose image vanishes, as a canonical RREF basis.
-
-    ``basis`` and ``images`` are the pair from :func:`strand_image_matrix`.
-    One elimination of the rows ``image | strand << k``, k = ``images.ncols``:
-    the reduced rows whose image part is zero, shifted down by k, span the
-    kernel.  They are already its RREF, since each such row's lowest bit is
-    its pivot and no other row holds that bit.
-    """
-    k = images.ncols
-    rows = tuple(image | (strand << k) for image, strand in zip(images.rows, basis.rows))
-    red, _ = gf2.rref(GF2Matrix(k + basis.ncols, rows))
-    low = (1 << k) - 1
-    return GF2Matrix(basis.ncols, tuple(r >> k for r in red.rows if not (r & low)))
-
-
 def strand_kernel_basis(g: EmbeddedGraph, tc: TreeCotree | None = None) -> GF2Matrix:
-    """Basis (in edge coordinates) of the strand vectors that die in homology."""
+    """Basis (in edge coordinates) of the strand vectors that die in homology.
+
+    The canonical RREF basis of the strand vectors whose images cancel,
+    from one elimination of the strands beside their images.
+    """
     cycles = fundamental_dual_cycles(g, tc or tree_cotree(g))
-    return strand_kernel(*strand_image_matrix(g, cycles))
+    return gf2.cancelling(*strand_image_matrix(g, cycles))
 
 
 def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:

@@ -111,7 +111,7 @@ def check_dimension_identities(g: EmbeddedGraph) -> CheckResult:
     ok = (
         s.dim_cocycle == max(g.vertex_count - 1, 0)
         and s.dim_dual_cocycle == max(g.face_count - 1, 0)
-        and s.dim_sum == s.dim_cocycle + s.dim_dual_cocycle - s.dim_intersection
+        and s.dim_intersection == g.cocycle_intersection.nrows
         and s.class_exponent == 2 * s.genus + s.dim_intersection
         and (g.edge_count - s.dim_cocycle) - s.dim_dual_cocycle == 2 * s.genus
     )

@@ -49,10 +49,12 @@ def bicycle_space(g: EmbeddedGraph) -> GF2Matrix:
     return gf2.row_space_intersection_basis(g.incidence_matrix, cycle_space(g))
 
 
-# The benchmark worker (perfbench/bench_worker.py) reads cache_info() around
+# Every caller asks for one graph's moves several times in a row, so one
+# entry serves them all; more would only keep old graphs alive.  The
+# benchmark worker (perfbench/bench_worker.py) reads cache_info() around
 # every op, so this cache stays until the benchmark counts hits another way
 # (ROADMAP item 1).
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def moves_matrix(g: EmbeddedGraph) -> GF2Matrix:
     """All move generators stacked: incidence rows over dual incidence rows."""
     return gf2.stack(g.incidence_matrix, g.dual_incidence_matrix)
@@ -135,12 +137,7 @@ def class_signature(basis: GF2Matrix, w: int) -> int:
     colorings of g.  Two colorings have equal signatures iff ``same_class``
     holds.
     """
-    w = _coloring(basis.ncols, w)
-    sig = 0
-    for i, z in enumerate(basis.rows):
-        if gf2.dot(z, w):
-            sig |= 1 << i
-    return sig
+    return gf2.parities(basis, _coloring(basis.ncols, w))
 
 
 def incident_faces(g: EmbeddedGraph, vertex: int) -> list[int]:

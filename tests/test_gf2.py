@@ -315,6 +315,38 @@ def test_intersection_is_symmetric_and_equals_span_intersection():
         assert inter.rows == sweep_rref(common)[0]
 
 
+def test_cancelling_equals_enumeration():
+    rng = Random(0xCA7)
+    for _ in range(300):
+        n, k, m = rng.randint(0, 7), rng.randint(0, 4), rng.randint(0, 6)
+        vectors = [rng.getrandbits(n) for _ in range(m)]
+        images = [rng.getrandbits(k) if rng.random() < 0.6 else 0 for _ in range(m)]
+        if m > 2 and rng.random() < 0.5:  # a dependent vector with its image
+            vectors[-1], images[-1] = vectors[0] ^ vectors[1], images[0] ^ images[1]
+        got = gf2.cancelling(GF2Matrix(n, tuple(vectors)), GF2Matrix(k, tuple(images)))
+        sums = set()
+        for coeffs in range(1 << m):
+            picks = [i for i in range(m) if coeffs >> i & 1]
+            if not sum_rows(images[i] for i in picks):
+                sums.add(sum_rows(vectors[i] for i in picks))
+        assert span(got) == sums
+        assert gf2.rref(got)[0] == got
+
+
+def test_cancelling_pairs_rows():
+    with pytest.raises(ValueError):
+        gf2.cancelling(GF2Matrix(3, (1, 2)), GF2Matrix(2, (1,)))
+
+
+def test_parities_equal_the_dot_products():
+    rng = Random(0xD07)
+    for ncols in (0, 1, 63, 64, 65, 130):
+        m = random_matrix(rng, rng.randint(0, 12), ncols)
+        for v in (0, rng.getrandbits(ncols), (1 << ncols) - 1):
+            expected = sum(gf2.dot(row, v) << i for i, row in enumerate(m.rows))
+            assert gf2.parities(m, v) == expected
+
+
 def test_in_row_space_equals_span_membership():
     rng = Random(0x5B)
     for _ in range(100):

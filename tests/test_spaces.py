@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from random import Random
 
 import pytest
 
-from bicolorgame import gf2, spaces
+from bicolorgame import gf2, selfcheck, spaces
 from bicolorgame.fixtures import load_fixture
 from bicolorgame.gf2 import GF2Matrix
 
@@ -176,3 +178,16 @@ def test_bot_matrix_rejects_non_incident(torus_grid):
 def test_coloring_string_length(torus_grid):
     with pytest.raises(ValueError):
         spaces.coloring_from_string(torus_grid, "0101")
+
+
+def test_the_moves_cache_keeps_no_earlier_graph():
+    # emptied first: an equal graph cached by another test would be found
+    # in place of this one, which would then never be held
+    spaces.moves_matrix.cache_clear()
+    first = load_fixture("torus_grid")
+    ref = weakref.ref(first)
+    selfcheck.run_all_checks(first)
+    del first
+    selfcheck.run_all_checks(load_fixture("torus_square_handles"))
+    gc.collect()
+    assert ref() is None, "a cache still holds the first graph"
