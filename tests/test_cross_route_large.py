@@ -3,11 +3,10 @@
 The oracle cannot follow at this size, so the two linear routes, the
 dimension identities and the tree-choice invariance are the check.  The
 graphs come from the ``large_graphs`` fixture, plus a 72x72 torus grid
-(E = 10368), built once for the module.  On the grid the two counts are
-compared and the orthogonality and strand-lemma checks run, both one
-parity walk per vector; ``summarize`` is left out, as its Zassenhaus
-step still takes seconds there.  Just above the enumeration caps, the
-whole identity list still runs and passes.
+(E = 10368), built once for the module.  The whole identity list runs
+and passes on all three, each enumeration reporting itself skipped; on
+the grid most of its time is ``summarize``'s Zassenhaus step.  Just
+above the enumeration caps, the whole identity list also runs and passes.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from bicolorgame.selfcheck import (
     check_orthogonality,
     check_strand_lemma,
     check_tree_choice_invariance,
+    failed_checks,
     run_all_checks,
 )
 
@@ -70,6 +70,14 @@ def test_double_cycle_checks_at_scale(large_graphs, grid_72, name, check):
     g = grid_72 if name == "torus-grid-72" else large_graphs[name]
     result = check(g)
     assert result.ok, result.detail
+
+
+@pytest.mark.parametrize("name", LARGE + ("torus-grid-72",))
+def test_all_checks_at_scale(large_graphs, grid_72, name):
+    g = grid_72 if name == "torus-grid-72" else large_graphs[name]
+    results = run_all_checks(g)
+    assert len(results) == len(ALL_CHECKS) == 14
+    assert not failed_checks(results), failed_checks(results)
 
 
 def _draw(make, accept):

@@ -12,12 +12,14 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from conftest import digon_chain, long_decimal
+from conftest import digon_chain, long_decimal, shuffled_torus_grid
 
 from bicolorgame import gf2, selfcheck, spaces
 from bicolorgame.brt import TrivariatePolynomial
-from bicolorgame.fixtures import load_fixture
+from bicolorgame.embedded import FaceSet
+from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.gf2 import GF2Matrix
+from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
 
 
 def _euler_face_count_off(monkeypatch, g):
@@ -277,6 +279,67 @@ def test_all_checks_eliminate_u_cap_u_star_once(monkeypatch):
     monkeypatch.setattr(gf2, "row_space_intersection_basis", counting)
     assert not selfcheck.failed_checks(selfcheck.run_all_checks(g))
     assert len(calls) == 1
+
+
+def test_euler_fails_on_a_planted_dartless_face(monkeypatch):
+    # one face too many makes 2 - v + e - f odd, so g.genus itself raises
+    g = load_fixture("torus_grid")
+    assert selfcheck.check_euler(g).ok
+    faces = g.faces
+    monkeypatch.setitem(g.__dict__, "faces", FaceSet(faces.faces + ((),), faces.face_of_dart))
+    v, e, f = g.vertex_count, g.edge_count, g.face_count
+    result = selfcheck.check_euler(g)
+    want = f"v={v} e={e} f={f}: Euler characteristic is inconsistent: 2 - v + e - f = 1"
+    assert (result.ok, result.detail) == (False, want)
+
+
+def _bot_rank_per_pair(g) -> selfcheck.CheckResult:
+    """Reference: one elimination per incident (vertex, face) pair."""
+    want = gf2.rank(spaces.moves_matrix(g))
+    for v in range(g.vertex_count):
+        for f in spaces.incident_faces(g, v):
+            if gf2.rank(spaces.bot_matrix(g, v, f)) != want:
+                return selfcheck.CheckResult("bot-rank", False, f"pair (v={v}, f={f})")
+    return selfcheck.CheckResult("bot-rank", True, f"rank={want}")
+
+
+def test_bot_rank_matches_the_per_pair_loop():
+    rng = Random(0xB07)
+    graphs = [load_fixture(name) for name in fixture_names()]
+    graphs += [random_embedded_graph(rng, 8, 16) for _ in range(200)]
+    graphs += [random_planar_graph(rng, 16) for _ in range(100)]
+    assert len({g.genus for g in graphs}) > 2
+    for g in graphs:
+        assert selfcheck.check_bot_rank(g) == _bot_rank_per_pair(g)
+
+
+@pytest.mark.parametrize(
+    "attr, family", [("incidence_matrix", "vertex"), ("dual_incidence_matrix", "face")]
+)
+def test_bot_rank_fails_when_a_row_family_does_not_sum_to_zero(attr, family, monkeypatch):
+    g = load_fixture("torus_grid")
+    assert selfcheck.check_bot_rank(g).ok
+    mat = getattr(g, attr)
+    planted = GF2Matrix(mat.ncols, (mat.rows[0] ^ 1,) + mat.rows[1:])
+    monkeypatch.setitem(g.__dict__, attr, planted)
+    result = selfcheck.check_bot_rank(g)
+    assert (result.ok, result.detail) == (False, f"{family} rows do not sum to zero")
+
+
+def test_bot_rank_makes_two_eliminations_on_any_graph(monkeypatch):
+    real = gf2.rref
+    calls = []
+
+    def counting(m):
+        calls.append(m.nrows)
+        return real(m)
+
+    monkeypatch.setattr(gf2, "rref", counting)
+    graphs = [load_fixture(name) for name in fixture_names()]
+    for g in graphs + [shuffled_torus_grid(Random(16), 16)]:
+        calls.clear()
+        assert selfcheck.check_bot_rank(g).ok
+        assert len(calls) == 2
 
 
 def test_count_detail_prints_counts_beyond_the_int_digit_limit(monkeypatch):
