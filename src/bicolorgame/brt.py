@@ -18,8 +18,9 @@ Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1), which is Whitney's rank
 polynomial at (x-1, y-1): Tutte values need component counts only and come
 from :func:`whitney_rank_polynomial`.
 
-Evaluations use exact rational arithmetic throughout; the interesting
-evaluation point z = 1/4 makes floating point unacceptable.
+Evaluations use exact rational arithmetic throughout, over one common
+denominator; the interesting evaluation point z = 1/4 makes floating
+point unacceptable.
 """
 
 from __future__ import annotations
@@ -49,11 +50,28 @@ class TrivariatePolynomial:
         object.__setattr__(self, "coeffs", clean)
 
     def evaluate(self, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        total = Fraction(0)
-        for (a, b, c), coeff in self.coeffs.items():
-            total += coeff * x**a * y**b * z**c
-        return total
+        """The exact value at (x, y, z), over one common denominator.
+
+        With n/d for a variable and A its highest exponent, the table
+        entry for exponent a is n^a d^(A-a), an integer; the integer sum
+        of coeff times the three entries is divided once by the product
+        of the d^A.
+        """
+        if not self.coeffs:
+            return Fraction(0)
+        tables, denominator = [], 1
+        for value, top in zip((x, y, z), map(max, zip(*self.coeffs))):
+            value = Fraction(value)
+            n, d = value.numerator, value.denominator
+            n_powers, d_powers = [1], [1]
+            for _ in range(top):
+                n_powers.append(n_powers[-1] * n)
+                d_powers.append(d_powers[-1] * d)
+            tables.append([n_powers[a] * d_powers[top - a] for a in range(top + 1)])
+            denominator *= d_powers[top]
+        tx, ty, tz = tables
+        total = sum(coeff * tx[a] * ty[b] * tz[c] for (a, b, c), coeff in self.coeffs.items())
+        return Fraction(total, denominator)
 
     def specialize_z_one(self) -> "TrivariatePolynomial":
         """Collapse the z variable at z = 1."""
@@ -385,15 +403,19 @@ def tutte_eval(
     T(x, y) = BRT(x-1, y-1, 1), and z = 1 erases the genus exponent, so
     only component counts matter and no sub-ribbon faces are traced.
     ``check_rank_oracle`` cross-checks the rank polynomial against the
-    BRT sweep at z = 1.
+    BRT sweep at z = 1.  At the default cap the polynomial is enumerated
+    once per graph (``EmbeddedGraph.derived``).
     """
-    p = whitney_rank_polynomial(g, edge_cap)
+    if edge_cap == DEFAULT_EDGE_CAP:
+        p = g.derived(whitney_rank_polynomial)
+    else:
+        p = whitney_rank_polynomial(g, edge_cap)
     return p.evaluate(Fraction(x) - 1, Fraction(y) - 1, Fraction(1))
 
 
 def medial_component_count_via_brt(g: EmbeddedGraph) -> int:
     """Strand count of the medial graph read off |BRT(-2, -2, 1/4)| = 2^(c-1)."""
-    value = brt_polynomial(g).evaluate(Fraction(-2), Fraction(-2), Fraction(1, 4))
+    value = g.derived(brt_polynomial).evaluate(Fraction(-2), Fraction(-2), Fraction(1, 4))
     magnitude = abs(value)
     if magnitude.denominator != 1:
         raise InternalInvariantError(f"|BRT(-2,-2,1/4)| = {magnitude} is not an integer")

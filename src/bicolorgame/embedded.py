@@ -27,13 +27,14 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from . import gf2
 from .errors import InternalInvariantError, InvalidGraphError, RotationParseError
 from .gf2 import GF2Matrix
 
 _LISTED = 10  # error messages name at most this many indices
+T = TypeVar("T")
 
 
 def _listing(ascending: Iterable[int], total: int) -> str:
@@ -142,6 +143,22 @@ class EmbeddedGraph:
                 parent[u] = w
                 forest.append(j)
         return forest
+
+    def derived(self, fn: Callable[["EmbeddedGraph"], T]) -> T:
+        """``fn(self)``, computed once per graph and function.
+
+        The per-graph memo of data that other modules derive from the
+        graph (the medial trace, the default tree/co-tree, the polynomials).
+        It lives in the instance ``__dict__`` beside the cached properties,
+        keyed by the function object, so a replaced function gets its own
+        entry and no graph is kept alive by a module.  An exception is
+        raised again on the next call, never stored.  Every caller gets
+        the same object, so callers must not mutate it.
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
 
     @cached_property
     def dart_vertex(self) -> dict[int, int]:

@@ -126,7 +126,7 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
 
 def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
     """(strand basis, its homology images against ``cycles``); rows correspond pairwise."""
-    basis = strand_space(trace_medial(g))
+    basis = strand_space(g.derived(trace_medial))
     images = tuple(homology_image(g, cycles, v) for v in basis.rows)
     return basis, GF2Matrix(cycles.nrows, images)
 
@@ -135,10 +135,18 @@ def strand_kernel_basis(g: EmbeddedGraph, tc: TreeCotree | None = None) -> GF2Ma
     """Basis (in edge coordinates) of the strand vectors that die in homology.
 
     The canonical RREF basis of the strand vectors whose images cancel,
-    from one elimination of the strands beside their images.
+    from one elimination of the strands beside their images.  Without
+    ``tc`` the default tree/co-tree is used, and that kernel is computed
+    once per graph (``EmbeddedGraph.derived``).
     """
-    cycles = fundamental_dual_cycles(g, tc or tree_cotree(g))
+    if tc is None:
+        return g.derived(_default_strand_kernel)
+    cycles = fundamental_dual_cycles(g, tc)
     return gf2.cancelling(*strand_image_matrix(g, cycles))
+
+
+def _default_strand_kernel(g: EmbeddedGraph) -> GF2Matrix:
+    return strand_kernel_basis(g, g.derived(tree_cotree))
 
 
 def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from random import Random
 from typing import Callable, Iterable
 
@@ -26,7 +27,7 @@ from .brt import (
     whitney_rank_polynomial,
 )
 from .embedded import EmbeddedGraph
-from .errors import EdgeCapError, InternalInvariantError
+from .errors import EdgeCapError, InternalInvariantError, InvalidGraphError
 from .homology import class_count_homology, strand_kernel_basis, strand_kernel_dim, tree_cotree
 from .medial import strand_space, trace_medial
 from .representatives import planar_representatives, verify_representatives
@@ -37,6 +38,33 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+
+
+Verdict = tuple[bool, str]  # (ok, detail) of one check, before it is named
+Check = Callable[[EmbeddedGraph], CheckResult]
+
+
+def _check(name: str) -> Callable[[Callable[[EmbeddedGraph], Verdict]], Check]:
+    """Name a function's verdict, and fail it on a broken graph instead of raising.
+
+    A graph whose faces break Euler's formula makes ``g.genus`` raise
+    :class:`InternalInvariantError` and rebuilding its dual raise
+    :class:`InvalidGraphError`; either fails the check, with the error in
+    the detail, so every check still reports.
+    """
+
+    def named(verdict: Callable[[EmbeddedGraph], Verdict]) -> Check:
+        @wraps(verdict)
+        def check(g: EmbeddedGraph) -> CheckResult:
+            try:
+                ok, detail = verdict(g)
+            except (InternalInvariantError, InvalidGraphError) as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            return CheckResult(name, ok, detail)
+
+        return check
+
+    return named
 
 
 def _xor_sum(vectors: Iterable[int]) -> int:
@@ -56,17 +84,19 @@ def _all_double_cycles(g: EmbeddedGraph, vectors: Iterable[int]) -> bool:
     return all(g.is_cycle(v) and d.is_cycle(v) for v in vectors)
 
 
-def check_euler(g: EmbeddedGraph) -> CheckResult:
+@_check("euler-genus")
+def check_euler(g: EmbeddedGraph) -> Verdict:
     v, e, f = g.vertex_count, g.edge_count, g.face_count
     try:
         genus = g.genus
     except InternalInvariantError as exc:
-        return CheckResult("euler-genus", False, f"v={v} e={e} f={f}: {exc}")
+        return False, f"v={v} e={e} f={f}: {exc}"
     ok = v - e + f == 2 - 2 * genus and genus >= 0
-    return CheckResult("euler-genus", ok, f"v={v} e={e} f={f} genus={genus}")
+    return ok, f"v={v} e={e} f={f} genus={genus}"
 
 
-def check_incidence_shape(g: EmbeddedGraph) -> CheckResult:
+@_check("incidence-columns")
+def check_incidence_shape(g: EmbeddedGraph) -> Verdict:
     """Every column of both incidence matrices holds 0 or 2 ones.
 
     One pass per matrix keeps the columns met at least once, twice and
@@ -82,11 +112,12 @@ def check_incidence_shape(g: EmbeddedGraph) -> CheckResult:
         if bad:
             col = (bad & -bad).bit_length() - 1
             ones = sum((r >> col) & 1 for r in mat.rows)
-            return CheckResult("incidence-columns", False, f"column {col} has {ones} ones")
-    return CheckResult("incidence-columns", True)
+            return False, f"column {col} has {ones} ones"
+    return True, ""
 
 
-def check_dual_involution(g: EmbeddedGraph) -> CheckResult:
+@_check("dual-involution")
+def check_dual_involution(g: EmbeddedGraph) -> Verdict:
     d = g.dual()
     dd = d.dual()
     ok = (
@@ -98,20 +129,22 @@ def check_dual_involution(g: EmbeddedGraph) -> CheckResult:
         and d.incidence_matrix.rows == g.dual_incidence_matrix.rows
         and d.genus == g.genus
     )
-    return CheckResult("dual-involution", ok)
+    return ok, ""
 
 
-def check_orthogonality(g: EmbeddedGraph) -> CheckResult:
+@_check("dual-cuts-are-cycles")
+def check_orthogonality(g: EmbeddedGraph) -> Verdict:
     """Every face row is a cycle of g, so it is orthogonal to every vertex row.
 
     The walk of face row s leaves vertex v the parity dot(r_v, s); a loop
     adds 0 to both.
     """
     ok = all(map(g.is_cycle, g.dual_incidence_matrix.rows))
-    return CheckResult("dual-cuts-are-cycles", ok, "" if ok else "a face row meets a vertex row oddly")
+    return ok, "" if ok else "a face row meets a vertex row oddly"
 
 
-def check_dimension_identities(g: EmbeddedGraph) -> CheckResult:
+@_check("dimension-identities")
+def check_dimension_identities(g: EmbeddedGraph) -> Verdict:
     s = spaces.summarize(g)
     ok = (
         s.dim_cocycle == max(g.vertex_count - 1, 0)
@@ -120,10 +153,11 @@ def check_dimension_identities(g: EmbeddedGraph) -> CheckResult:
         and s.class_exponent == 2 * s.genus + s.dim_intersection
         and (g.edge_count - s.dim_cocycle) - s.dim_dual_cocycle == 2 * s.genus
     )
-    return CheckResult("dimension-identities", ok, f"exponent={s.class_exponent}")
+    return ok, f"exponent={s.class_exponent}"
 
 
-def check_counts_agree(g: EmbeddedGraph) -> CheckResult:
+@_check("three-route-count")
+def check_counts_agree(g: EmbeddedGraph) -> Verdict:
     direct = spaces.class_count_direct(g)
     homological = class_count_homology(g)
     exact = spaces.exact_decimal
@@ -137,71 +171,75 @@ def check_counts_agree(g: EmbeddedGraph) -> CheckResult:
         else:
             detail += f" oracle={swept}"
             ok = swept == direct
-    return CheckResult("three-route-count", ok, detail)
+    return ok, detail
 
 
-def check_strand_lemma(g: EmbeddedGraph) -> CheckResult:
-    mc = trace_medial(g)
+@_check("strand-lemma")
+def check_strand_lemma(g: EmbeddedGraph) -> Verdict:
+    mc = g.derived(trace_medial)
     if g.edge_count == 0:
-        return CheckResult("strand-lemma", mc.count == 0)
+        return mc.count == 0, ""
     if _xor_sum(mc.trace_vectors):
-        return CheckResult("strand-lemma", False, "trace vectors do not sum to zero")
+        return False, "trace vectors do not sum to zero"
     for j in range(g.edge_count):
         if mc.crossings[j] != 2:
-            return CheckResult("strand-lemma", False, f"edge {j} not crossed exactly twice")
+            return False, f"edge {j} not crossed exactly twice"
     if gf2.rank(mc.trace_matrix()) != mc.count - 1:
-        return CheckResult("strand-lemma", False, "strand space has wrong dimension")
+        return False, "strand space has wrong dimension"
     if not _all_double_cycles(g, mc.trace_vectors):
-        return CheckResult("strand-lemma", False, "a trace vector is not a bi-directional cycle")
-    return CheckResult("strand-lemma", True, f"c={mc.count}")
+        return False, "a trace vector is not a bi-directional cycle"
+    return True, f"c={mc.count}"
 
 
-def check_component_count_identity(g: EmbeddedGraph) -> CheckResult:
+@_check("polynomial-strand-count")
+def check_component_count_identity(g: EmbeddedGraph) -> Verdict:
     if g.edge_count == 0:
-        return CheckResult("polynomial-strand-count", True, "skipped (edgeless)")
+        return True, "skipped (edgeless)"
     try:
         c_poly = medial_component_count_via_brt(g)
     except EdgeCapError as exc:
-        return CheckResult("polynomial-strand-count", True, f"skipped ({exc})")
-    c_trace = trace_medial(g).count
-    return CheckResult(
-        "polynomial-strand-count", c_poly == c_trace, f"poly={c_poly} trace={c_trace}"
-    )
+        return True, f"skipped ({exc})"
+    c_trace = g.derived(trace_medial).count
+    return c_poly == c_trace, f"poly={c_poly} trace={c_trace}"
 
 
-def check_inclusions(g: EmbeddedGraph) -> CheckResult:
-    mc = trace_medial(g)
+@_check("inclusion-chain")
+def check_inclusions(g: EmbeddedGraph) -> Verdict:
+    mc = g.derived(trace_medial)
     try:
         strands = strand_space(mc)
     except InternalInvariantError as exc:
-        return CheckResult("inclusion-chain", False, f"no strand space: {exc}")
+        return False, f"no strand space: {exc}"
     # strands is a basis, so adding U cap U* raises the rank unless it lies inside
     if gf2.rank(gf2.stack(strands, g.cocycle_intersection)) != strands.nrows:
-        return CheckResult("inclusion-chain", False, "U cap U* not inside the strand space")
+        return False, "U cap U* not inside the strand space"
     if not _all_double_cycles(g, strands.rows):
-        return CheckResult("inclusion-chain", False, "strand space leaves the double cycle space")
-    return CheckResult("inclusion-chain", True)
+        return False, "strand space leaves the double cycle space"
+    return True, ""
 
 
-def check_kernel_subspace(g: EmbeddedGraph) -> CheckResult:
+@_check("homology-kernel")
+def check_kernel_subspace(g: EmbeddedGraph) -> Verdict:
     kernel = strand_kernel_basis(g)
     if not gf2.row_space_equal(kernel, g.cocycle_intersection):
-        return CheckResult("homology-kernel", False, "ker on strands differs from U cap U*")
+        return False, "ker on strands differs from U cap U*"
     dual_kernel = strand_kernel_basis(g.dual())
     if not gf2.row_space_equal(kernel, dual_kernel):
-        return CheckResult("homology-kernel", False, "primal and dual kernels differ")
-    return CheckResult("homology-kernel", True)
+        return False, "primal and dual kernels differ"
+    return True, ""
 
 
-def check_tree_choice_invariance(g: EmbeddedGraph) -> CheckResult:
+@_check("tree-choice-invariance")
+def check_tree_choice_invariance(g: EmbeddedGraph) -> Verdict:
     b = strand_kernel_dim(g)
     for seed in range(3):
         if strand_kernel_dim(g, tree_cotree(g, rng=Random(seed))) != b:
-            return CheckResult("tree-choice-invariance", False, f"seed {seed} changed b")
-    return CheckResult("tree-choice-invariance", True, f"b={b}")
+            return False, f"seed {seed} changed b"
+    return True, f"b={b}"
 
 
-def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
+@_check("bot-rank")
+def check_bot_rank(g: EmbeddedGraph) -> Verdict:
     """Deleting any incident (vertex, face) pair leaves the row space U + U*.
 
     Every column of both incidence matrices holds 0 or 2 ones, so the
@@ -212,15 +250,16 @@ def check_bot_rank(g: EmbeddedGraph) -> CheckResult:
     """
     for family, mat in (("vertex", g.incidence_matrix), ("face", g.dual_incidence_matrix)):
         if _xor_sum(mat.rows):
-            return CheckResult("bot-rank", False, f"{family} rows do not sum to zero")
+            return False, f"{family} rows do not sum to zero"
     want = gf2.rank(spaces.moves_matrix(g))
     f = spaces.incident_faces(g, 0)[0]
     if gf2.rank(spaces.bot_matrix(g, 0, f)) != want:
-        return CheckResult("bot-rank", False, f"pair (v=0, f={f})")
-    return CheckResult("bot-rank", True, f"rank={want}")
+        return False, f"pair (v=0, f={f})"
+    return True, f"rank={want}"
 
 
-def check_rank_oracle(g: EmbeddedGraph) -> CheckResult:
+@_check("whitney-specialization")
+def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
     """Both depth-first enumerations against the per-mask sweep.
 
     The three-variable comparison checks the face counts of
@@ -230,18 +269,18 @@ def check_rank_oracle(g: EmbeddedGraph) -> CheckResult:
     try:
         swept = brt_by_sweep(g)
     except EdgeCapError as exc:
-        return CheckResult("whitney-specialization", True, f"skipped ({exc})")
-    if brt_polynomial(g) != swept:
-        return CheckResult("whitney-specialization", False, "BRT differs from the sweep")
-    ok = swept.specialize_z_one() == whitney_rank_polynomial(g)
-    return CheckResult("whitney-specialization", ok)
+        return True, f"skipped ({exc})"
+    if g.derived(brt_polynomial) != swept:
+        return False, "BRT differs from the sweep"
+    return swept.specialize_z_one() == g.derived(whitney_rank_polynomial), ""
 
 
-def check_genus_zero(g: EmbeddedGraph) -> CheckResult:
+@_check("plane-structure")
+def check_genus_zero(g: EmbeddedGraph) -> Verdict:
     if g.genus != 0:
-        return CheckResult("plane-structure", True, "skipped (genus > 0)")
+        return True, "skipped (genus > 0)"
     if not gf2.row_space_equal(g.dual_incidence_matrix, spaces.cycle_space(g)):
-        return CheckResult("plane-structure", False, "dual cut space differs from cycle space")
+        return False, "dual cut space differs from cycle space"
     b = spaces.bicycle_space(g).nrows
     detail = f"bicycle dim={b}"
     try:
@@ -250,13 +289,13 @@ def check_genus_zero(g: EmbeddedGraph) -> CheckResult:
         detail += f"; T(-1,-1) skipped ({exc})"
     else:
         if abs(t_value) != 1 << b:
-            return CheckResult("plane-structure", False, f"|T(-1,-1)|={abs(t_value)} vs 2^{b}")
+            return False, f"|T(-1,-1)|={abs(t_value)} vs 2^{b}"
     if not verify_representatives(g, planar_representatives(g)):
-        return CheckResult("plane-structure", False, "representatives failed verification")
-    return CheckResult("plane-structure", True, detail)
+        return False, "representatives failed verification"
+    return True, detail
 
 
-ALL_CHECKS: tuple[Callable[[EmbeddedGraph], CheckResult], ...] = (
+ALL_CHECKS: tuple[Check, ...] = (
     check_euler,
     check_incidence_shape,
     check_dual_involution,

@@ -193,6 +193,50 @@ def test_tutte_routes_agree(torus_grid, random_batch):
             assert tutte_eval(g, x, y) == brt.evaluate(x - 1, y - 1, 1)
 
 
+def _evaluate_term_by_term(p: TrivariatePolynomial, x, y, z) -> Fraction:
+    """Reference: one Fraction product per monomial, summed in Fractions."""
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    total = Fraction(0)
+    for (a, b, c), coeff in p.coeffs.items():
+        total += coeff * x**a * y**b * z**c
+    return total
+
+
+def test_evaluate_over_one_denominator_matches_the_fraction_sum(torus_grid):
+    rng = Random(21)
+    nines = Fraction("9" * 1000)
+    points = [
+        Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 4), Fraction(-7, 3),
+        Fraction(5, -6), nines, -nines, 1 / nines, nines / 7,
+    ]
+    polynomials = [
+        TrivariatePolynomial({}),
+        TrivariatePolynomial({(0, 0, 0): 5}),
+        TrivariatePolynomial({(0, 2, 0): -3, (1, 0, 4): 2}),
+        TrivariatePolynomial(TORUS_GRID_BRT),
+    ]
+    for _ in range(40):
+        terms = rng.randint(1, 8)
+        polynomials.append(TrivariatePolynomial({
+            (rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)): rng.randint(-50, 50)
+            for _ in range(terms)
+        }))
+    for p in polynomials:
+        for _ in range(6):
+            point = [rng.choice(points) for _ in range(3)]
+            value = p.evaluate(*point)
+            assert type(value) is Fraction
+            assert value == _evaluate_term_by_term(p, *point)
+    # exponent 0 at x = 0 is 0^0 = 1, and the empty polynomial is 0
+    assert TrivariatePolynomial({(0, 1, 0): 3}).evaluate(0, 2, 0) == 6
+    assert TrivariatePolynomial({(1, 0, 0): 3, (0, 0, 0): -1}).evaluate(0, 0, 0) == -1
+    assert TrivariatePolynomial({}).evaluate(nines, -nines, Fraction(1, 4)) == 0
+    assert type(TrivariatePolynomial({}).evaluate(1, 1, 1)) is Fraction
+    assert brt_polynomial(torus_grid).evaluate(nines, nines, 1) == _evaluate_term_by_term(
+        brt_polynomial(torus_grid), nines, nines, 1
+    )
+
+
 def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
     want = brt_polynomial(torus_grid).evaluate(Fraction(-2), Fraction(-2), Fraction(1))
 

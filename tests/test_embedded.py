@@ -118,6 +118,32 @@ def test_dual_is_built_once(square_handles):
     assert d.dual() is d.dual()
 
 
+def test_derived_is_computed_once_per_graph_and_function():
+    g, h = load_fixture("torus_grid"), load_fixture("torus_grid")
+    calls = []
+
+    def edges(graph):
+        calls.append(graph)
+        return graph.edge_count
+
+    def vertices(graph):
+        calls.append(graph)
+        return graph.vertex_count
+
+    assert (g.derived(edges), g.derived(edges), g.derived(vertices)) == (9, 9, 4)
+    assert h.derived(edges) == 9  # an equal graph keeps its own memo
+    assert [x is g for x in calls] == [True, True, False]
+
+    def failing(graph):
+        calls.append(graph)
+        raise ValueError("not stored")
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not stored"):
+            g.derived(failing)
+    assert len(calls) == 5
+
+
 def test_parse_roundtrip(square_handles):
     text = format_rotation_system(square_handles, header="test header")
     assert parse_rotation_system(text) == square_handles

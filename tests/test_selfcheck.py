@@ -8,13 +8,15 @@ input a check consumes and requires the check to report ``ok=False``.
 from __future__ import annotations
 
 import dataclasses
+import sys
+from collections import Counter
 from random import Random
 from types import SimpleNamespace
 
 import pytest
 from conftest import digon_chain, long_decimal, shuffled_torus_grid
 
-from bicolorgame import gf2, selfcheck, spaces
+from bicolorgame import brt, gf2, homology, medial, selfcheck, spaces
 from bicolorgame.brt import TrivariatePolynomial
 from bicolorgame.embedded import FaceSet
 from bicolorgame.fixtures import fixture_names, load_fixture
@@ -291,6 +293,77 @@ def test_euler_fails_on_a_planted_dartless_face(monkeypatch):
     result = selfcheck.check_euler(g)
     want = f"v={v} e={e} f={f}: Euler characteristic is inconsistent: 2 - v + e - f = 1"
     assert (result.ok, result.detail) == (False, want)
+
+
+def test_every_check_reports_a_planted_dartless_face(monkeypatch):
+    # g.genus raises and the dual cannot be rebuilt; each check that meets
+    # either must still report, under its own name, with the error text
+    g = load_fixture("torus_grid")
+    names = [r.name for r in selfcheck.run_all_checks(load_fixture("torus_grid"))]
+    faces = g.faces
+    monkeypatch.setitem(g.__dict__, "faces", FaceSet(faces.faces + ((),), faces.face_of_dart))
+    results = [check(g) for check in selfcheck.ALL_CHECKS]
+    assert [r.name for r in results] == names
+    assert results == selfcheck.run_all_checks(g)
+    euler = "Euler characteristic is inconsistent: 2 - v + e - f = 1"
+    failed = {r.name: r.detail for r in selfcheck.failed_checks(results)}
+    assert failed == {
+        "euler-genus": f"v=4 e=9 f=6: {euler}",
+        "dual-involution": "InvalidGraphError: disconnected graph",
+        "dimension-identities": f"InternalInvariantError: {euler}",
+        "three-route-count": f"InternalInvariantError: {euler}",
+        "strand-lemma": "InvalidGraphError: disconnected graph",
+        "polynomial-strand-count": f"InternalInvariantError: {euler}",
+        "inclusion-chain": "InvalidGraphError: disconnected graph",
+        "homology-kernel": "InvalidGraphError: disconnected graph",
+        "tree-choice-invariance": "InvalidGraphError: disconnected graph",
+        "whitney-specialization": f"InternalInvariantError: {euler}",
+        "plane-structure": f"InternalInvariantError: {euler}",
+    }
+
+
+def _patch_everywhere(monkeypatch, owner, name, calls):
+    """Count calls of ``owner.name`` through every package module that holds it."""
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.startswith("bicolorgame") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+
+
+def test_all_checks_derive_each_graphs_data_once(monkeypatch):
+    # fresh graphs: the session fixtures would carry memos from other tests
+    default_tree = homology.tree_cotree(load_fixture("torus_grid"))
+    g = load_fixture("torus_grid")
+    calls: Counter[str] = Counter()
+    _patch_everywhere(monkeypatch, brt, "brt_polynomial", calls)
+    _patch_everywhere(monkeypatch, brt, "whitney_rank_polynomial", calls)
+    _patch_everywhere(monkeypatch, medial, "trace_medial", calls)
+    _patch_everywhere(monkeypatch, homology, "tree_cotree", calls)
+    real_cycles = homology.fundamental_dual_cycles
+
+    def cycles(h, tc):
+        # one strand-kernel elimination per set of fundamental cycles
+        if h is g and tc == default_tree:
+            calls["default strand kernel"] += 1
+        return real_cycles(h, tc)
+
+    monkeypatch.setattr(homology, "fundamental_dual_cycles", cycles)
+    assert not selfcheck.failed_checks(selfcheck.run_all_checks(g))
+    assert calls == {
+        "brt_polynomial": 1,
+        "whitney_rank_polynomial": 1,
+        "trace_medial": 2,  # g and its dual
+        "tree_cotree": 5,  # the default tree of g and of its dual, and 3 shuffled
+        "default strand kernel": 1,
+    }
+    calls.clear()
+    assert not selfcheck.failed_checks(selfcheck.run_all_checks(load_fixture("plane_two_triangles")))
+    assert calls["whitney_rank_polynomial"] == 1
 
 
 def _bot_rank_per_pair(g) -> selfcheck.CheckResult:
