@@ -13,7 +13,7 @@ from bicolorgame import (
     class_count_homology,
     fundamental_dual_cycles,
     homology_image,
-    strand_kernel_dim,
+    strand_kernel_basis,
     trace_medial,
     tree_cotree,
 )
@@ -42,7 +42,7 @@ for i, v in enumerate(mc.trace_vectors):
     print(f"  strand {i} -> {vector_to_string(image, len(tc.leftover_edges))}")
 print()
 
-b = strand_kernel_dim(g, tc)
+b = strand_kernel_basis(g, tc).nrows
 print(f"The image has rank 2, the strand space dimension 3, so b = {b}.")
 print(f"Class count 2^(2g + b) = 2^(2*{g.genus} + {b}) = {class_count_homology(g, tc)}")
 print(f"Direct linear-algebra count agrees: {class_count_direct(g)}")

@@ -36,7 +36,6 @@ from .homology import (
     fundamental_dual_cycles,
     homology_image,
     strand_kernel_basis,
-    strand_kernel_dim,
     tree_cotree,
 )
 from .medial import MedialComponents, strand_space, trace_medial
@@ -93,7 +92,6 @@ __all__ = [
     "same_class",
     "signature_basis",
     "strand_kernel_basis",
-    "strand_kernel_dim",
     "strand_space",
     "summarize",
     "trace_medial",

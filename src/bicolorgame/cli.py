@@ -166,7 +166,7 @@ def cmd_count(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
 
 
 def cmd_medial(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
-    mc = trace_medial(g)
+    mc = g.derived(trace_medial)
     rows = mc.trace_matrix().row_strings()
     doc = {"command": "medial", "components": mc.count, "trace_vectors": rows}
     lines = [f"components {mc.count}"] + [f"strand {i}: {s}" for i, s in enumerate(rows)]

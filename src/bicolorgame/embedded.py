@@ -51,10 +51,6 @@ class FaceSet:
     faces: tuple[tuple[int, ...], ...]
     face_of_dart: dict[int, int]
 
-    @property
-    def count(self) -> int:
-        return len(self.faces)
-
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
@@ -148,7 +144,8 @@ class EmbeddedGraph:
         """``fn(self)``, computed once per graph and function.
 
         The per-graph memo of data that other modules derive from the
-        graph (the medial trace, the default tree/co-tree, the polynomials).
+        graph (the medial trace, the default tree/co-tree, the polynomials,
+        the space summary and the bicycle basis).
         It lives in the instance ``__dict__`` beside the cached properties,
         keyed by the function object, so a replaced function gets its own
         entry and no graph is kept alive by a module.  An exception is
@@ -227,7 +224,7 @@ class EmbeddedGraph:
 
     @property
     def face_count(self) -> int:
-        return self.faces.count
+        return len(self.faces.faces)
 
     @property
     def genus(self) -> int:

@@ -149,11 +149,6 @@ def _default_strand_kernel(g: EmbeddedGraph) -> GF2Matrix:
     return strand_kernel_basis(g, g.derived(tree_cotree))
 
 
-def strand_kernel_dim(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
-    """b: dimension of the homology kernel restricted to the strand space."""
-    return strand_kernel_basis(g, tc).nrows
-
-
 def class_count_homology(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
     """Number of equivalence classes counted as 2^(2g + b)."""
-    return 1 << (2 * g.genus + strand_kernel_dim(g, tc))
+    return 1 << (2 * g.genus + strand_kernel_basis(g, tc).nrows)

@@ -45,8 +45,8 @@ def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
             "canonical representatives are only defined for plane graphs (genus 0)"
         )
     # both sides in reduced echelon form, which is unique to a row space
-    reduced, pivots = gf2.rref(strand_space(trace_medial(g)))
-    if reduced.rows != spaces.bicycle_space(g).rows:
+    reduced, pivots = gf2.rref(strand_space(g.derived(trace_medial)))
+    if reduced.rows != g.derived(spaces.bicycle_space).rows:
         raise InternalInvariantError("strand space differs from the bicycle space at genus 0")
     # pivot columns: the reduced vector j has a 1 there and all others 0,
     # which is the required witness property in its strongest form

@@ -28,7 +28,7 @@ from .brt import (
 )
 from .embedded import EmbeddedGraph
 from .errors import EdgeCapError, InternalInvariantError, InvalidGraphError
-from .homology import class_count_homology, strand_kernel_basis, strand_kernel_dim, tree_cotree
+from .homology import class_count_homology, strand_kernel_basis, tree_cotree
 from .medial import strand_space, trace_medial
 from .representatives import planar_representatives, verify_representatives
 
@@ -145,7 +145,7 @@ def check_orthogonality(g: EmbeddedGraph) -> Verdict:
 
 @_check("dimension-identities")
 def check_dimension_identities(g: EmbeddedGraph) -> Verdict:
-    s = spaces.summarize(g)
+    s = g.derived(spaces.summarize)
     ok = (
         s.dim_cocycle == max(g.vertex_count - 1, 0)
         and s.dim_dual_cocycle == max(g.face_count - 1, 0)
@@ -153,7 +153,15 @@ def check_dimension_identities(g: EmbeddedGraph) -> Verdict:
         and s.class_exponent == 2 * s.genus + s.dim_intersection
         and (g.edge_count - s.dim_cocycle) - s.dim_dual_cocycle == 2 * s.genus
     )
-    return ok, f"exponent={s.class_exponent}"
+    detail = f"exponent={s.class_exponent}"
+    # |T(-1,-1)| = 2^(bicycle dim) on every surface (Rosenstiehl and Read)
+    try:
+        t_value = tutte_eval(g, Fraction(-1), Fraction(-1))
+    except EdgeCapError as exc:
+        return ok, f"{detail}; T(-1,-1) skipped ({exc})"
+    if abs(t_value) != 1 << s.bicycle_dim:
+        return False, f"|T(-1,-1)|={abs(t_value)} vs 2^{s.bicycle_dim}"
+    return ok, detail
 
 
 @_check("three-route-count")
@@ -220,20 +228,20 @@ def check_inclusions(g: EmbeddedGraph) -> Verdict:
 
 @_check("homology-kernel")
 def check_kernel_subspace(g: EmbeddedGraph) -> Verdict:
-    kernel = strand_kernel_basis(g)
-    if not gf2.row_space_equal(kernel, g.cocycle_intersection):
+    # all three bases are in reduced echelon form, unique to a row space
+    kernel = strand_kernel_basis(g).rows
+    if kernel != g.cocycle_intersection.rows:
         return False, "ker on strands differs from U cap U*"
-    dual_kernel = strand_kernel_basis(g.dual())
-    if not gf2.row_space_equal(kernel, dual_kernel):
+    if kernel != strand_kernel_basis(g.dual()).rows:
         return False, "primal and dual kernels differ"
     return True, ""
 
 
 @_check("tree-choice-invariance")
 def check_tree_choice_invariance(g: EmbeddedGraph) -> Verdict:
-    b = strand_kernel_dim(g)
+    b = strand_kernel_basis(g).nrows
     for seed in range(3):
-        if strand_kernel_dim(g, tree_cotree(g, rng=Random(seed))) != b:
+        if strand_kernel_basis(g, tree_cotree(g, rng=Random(seed))).nrows != b:
             return False, f"seed {seed} changed b"
     return True, f"b={b}"
 
@@ -281,7 +289,7 @@ def check_genus_zero(g: EmbeddedGraph) -> Verdict:
         return True, "skipped (genus > 0)"
     if not gf2.row_space_equal(g.dual_incidence_matrix, spaces.cycle_space(g)):
         return False, "dual cut space differs from cycle space"
-    b = spaces.bicycle_space(g).nrows
+    b = g.derived(spaces.summarize).bicycle_dim
     detail = f"bicycle dim={b}"
     try:
         t_value = tutte_eval(g, Fraction(-1), Fraction(-1))

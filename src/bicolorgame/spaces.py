@@ -184,6 +184,6 @@ def summarize(g: EmbeddedGraph) -> SpaceSummary:
         dim_cycle=g.edge_count - dim_u,
         dim_sum=dim_sum,
         dim_intersection=dim_u + dim_us - dim_sum,
-        bicycle_dim=bicycle_space(g).nrows,
+        bicycle_dim=g.derived(bicycle_space).nrows,
         class_exponent=g.edge_count - dim_sum,
     )

@@ -174,10 +174,12 @@ def test_theorem_strand_count_random(random_batch):
         assert medial_component_count_via_brt(g) == trace_medial(g).count
 
 
-def test_planar_tutte_counts_bicycles(planar_batch):
+def test_planar_tutte_counts_bicycles(planar_batch, random_batch):
+    # |T(-1,-1)| = 2^(bicycle dim) holds on every surface, not only the plane
     from bicolorgame import spaces
 
-    for g in planar_batch[:30]:
+    graphs = planar_batch[:30] + [g for g in random_batch if g.genus > 0]
+    for g in graphs:
         b = spaces.bicycle_space(g).nrows
         assert abs(tutte_eval(g, -1, -1)) == 1 << b
 

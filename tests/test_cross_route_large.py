@@ -108,6 +108,7 @@ def test_all_checks_run_above_the_enumeration_caps():
         over = f"skipped ({g.edge_count} edges exceeds the enumeration cap 26)"
         assert details[name]["polynomial-strand-count"] == over
         assert details[name]["whitney-specialization"] == over
+        assert details[name]["dimension-identities"].endswith(f"; T(-1,-1) {over}")
     plane = details["plane"]["plane-structure"]
     assert plane.startswith("bicycle dim=") and "T(-1,-1) skipped" in plane
     assert "representatives" not in plane

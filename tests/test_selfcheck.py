@@ -54,6 +54,18 @@ def _intersection_dim_off(monkeypatch, g):
     return g
 
 
+def _bicycle_dim_off(monkeypatch, g):
+    # every other field agrees, so only |T(-1,-1)| = 2^(bicycle dim) can tell
+    real = spaces.summarize
+
+    def summarize(h):
+        s = real(h)
+        return dataclasses.replace(s, bicycle_dim=s.bicycle_dim + 1)
+
+    monkeypatch.setattr(spaces, "summarize", summarize)
+    return g
+
+
 def _sum_rank_off(monkeypatch, g):
     # rank of U + U* one too high, and every field derived from it moved to
     # agree, so only a second computation of U cap U* can tell
@@ -116,10 +128,13 @@ def _whitney_shifted(monkeypatch, g):
 
 
 def _kernel_dim_depends_on_tree(monkeypatch, g):
-    real = selfcheck.strand_kernel_dim
-    monkeypatch.setattr(
-        selfcheck, "strand_kernel_dim", lambda h, tc=None: real(h, tc) + (tc is not None)
-    )
+    real = selfcheck.strand_kernel_basis
+
+    def strand_kernel_basis(h, tc=None):
+        kernel = real(h, tc)
+        return kernel if tc is None else gf2.stack(kernel, GF2Matrix(h.edge_count, (0,)))
+
+    monkeypatch.setattr(selfcheck, "strand_kernel_basis", strand_kernel_basis)
     return g
 
 
@@ -140,6 +155,7 @@ MUTATIONS = [
     (selfcheck.check_orthogonality, "torus_grid", _face_row_meets_a_vertex_once),
     (selfcheck.check_dimension_identities, "torus_grid", _intersection_dim_off),
     (selfcheck.check_dimension_identities, "torus_grid", _sum_rank_off),
+    (selfcheck.check_dimension_identities, "torus_grid", _bicycle_dim_off),
     (selfcheck.check_component_count_identity, "torus_grid", _polynomial_strand_count_off),
     (selfcheck.check_strand_lemma, "torus_grid", _strand_dropped),
     (selfcheck.check_inclusions, "torus_grid", _strand_space_emptied),
@@ -344,6 +360,9 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
     _patch_everywhere(monkeypatch, brt, "whitney_rank_polynomial", calls)
     _patch_everywhere(monkeypatch, medial, "trace_medial", calls)
     _patch_everywhere(monkeypatch, homology, "tree_cotree", calls)
+    _patch_everywhere(monkeypatch, spaces, "summarize", calls)
+    _patch_everywhere(monkeypatch, spaces, "bicycle_space", calls)
+    _patch_everywhere(monkeypatch, gf2, "rref", calls)
     real_cycles = homology.fundamental_dual_cycles
 
     def cycles(h, tc):
@@ -360,10 +379,21 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
         "trace_medial": 2,  # g and its dual
         "tree_cotree": 5,  # the default tree of g and of its dual, and 3 shuffled
         "default strand kernel": 1,
+        "summarize": 1,
+        "bicycle_space": 1,
+        "rref": 24,
     }
     calls.clear()
     assert not selfcheck.failed_checks(selfcheck.run_all_checks(load_fixture("plane_two_triangles")))
-    assert calls["whitney_rank_polynomial"] == 1
+    assert calls == {
+        "brt_polynomial": 1,
+        "whitney_rank_polynomial": 1,
+        "trace_medial": 2,  # g and its dual; the representatives read g's
+        "tree_cotree": 5,
+        "summarize": 1,
+        "bicycle_space": 1,  # summarize's, which the representatives read too
+        "rref": 32,
+    }
 
 
 def _bot_rank_per_pair(g) -> selfcheck.CheckResult:
