@@ -1,4 +1,4 @@
-"""The Bollobás-Riordan-Tutte polynomial by spanning-subgraph enumeration.
+"""The Bollobás-Riordan-Tutte polynomial by a transfer over spanning subgraphs.
 
 For a connected graph embedded on an orientable surface,
 
@@ -9,14 +9,17 @@ nullity, and g its genus as a ribbon subgraph.  Bridges and trivial loops
 are factored out first: a bridge contributes a factor (1 + x) and a loop
 whose darts are adjacent in its rotation a factor (1 + y), since BRT is
 multiplicative over one-point joins (Bollobás & Riordan, Math. Ann. 2002).
-The subsets of what is left are enumerated depth first, one edge added per
-level and undone on the way back, and each level updates k and the face
-count by a local rule instead of re-tracing faces; :func:`brt_by_sweep`
-re-traces every subset of the whole graph and is the oracle.  The
-x variable is shifted by one relative to the oldest convention, so the
-Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1), which is Whitney's rank
-polynomial at (x-1, y-1): Tutte values need component counts only and come
-from :func:`whitney_rank_polynomial`.
+The subsets of what is left are counted by a transfer: its edges are
+decided absent or present one at a time, and the subsets decided so far
+are grouped by a state, the boundary curves of the ribbon surface they
+span with their components, so each state is carried once with its counts
+(the partition states of Sekine, Imai & Tani, ISAAC 1995, extended to
+ribbon faces).  :func:`brt_by_sweep` re-traces every subset of the whole
+graph and is the oracle.  The x variable is shifted by one relative to
+the oldest convention, so the Tutte polynomial is T(x, y) =
+BRT(x-1, y-1, 1), which is Whitney's rank polynomial at (x-1, y-1):
+Tutte values need component counts only and come from
+:func:`whitney_rank_polynomial`.
 
 Evaluations use exact rational arithmetic throughout, over one common
 denominator; the interesting evaluation point z = 1/4 makes floating
@@ -114,19 +117,18 @@ def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], 
     """Count the 2^|E| spanning subsets H by (k(H), |H|, f(H)).
 
     Bridges and trivial loops are peeled off first (:func:`_peel`), the
-    core's subsets are counted depth first (:func:`_walk`), and the counts
-    are expanded back to ``g``.  A bridge in H adds one edge; a bridge not
-    in H adds a component and a face, since its two sides are then joined
-    at one point in the core.  A trivial loop in H adds an edge and a face
-    (it splits the face of its corner); a loop not in H adds nothing.
-    Without ``faces`` every loop is trivial and f(H) is reported as 0.
-    The walk counts each subset whose highest edge is the core's last by
-    the rule that updates k and f alone, without adding that edge, so half
-    of the core's 2^|E| subsets are never built.
+    core's subsets are counted by the transfer (:func:`_transfer`), and the
+    counts are expanded back to ``g``.  A bridge in H adds one edge; a
+    bridge not in H adds a component and a face, since its two sides are
+    then joined at one point in the core.  A trivial loop in H adds an edge
+    and a face (it splits the face of its corner); a loop not in H adds
+    nothing.  Without ``faces`` every loop is trivial and f(H) is reported
+    as 0.  No subset is built on its own: the transfer's work grows with
+    its live states, not with 2^|E|.
     """
     core, bridges, loops = _peel(g, faces)
     out: dict[tuple[int, int, int], int] = {}
-    for (k, e, f), count in _walk(core, faces).items():
+    for (k, e, f), count in _transfer(core, faces).items():
         for i in range(bridges + 1):  # bridges in H
             for j in range(loops + 1):  # loops in H
                 key = (k + bridges - i, e + i + j, f + bridges - i + j if faces else 0)
@@ -185,139 +187,238 @@ def _peel(g: EmbeddedGraph, faces: bool) -> tuple[EmbeddedGraph, int, int]:
     return EmbeddedGraph(tuple(core), edges), len(bridges), m - len(bridges) - len(edges)
 
 
-def _walk(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
-    """Count the 2^|E| spanning subsets H of ``g`` by (k(H), |H|, f(H)), depth first.
+# Live states that one table of the transfer holds.  A larger table is
+# split, and the part set aside waits at its step until the part kept is
+# finished; parts wait in order of step, at most one per step, so at most
+# (|E| + 3) times the cap states are live at once.
+_STATE_CAP = 1 << 12
 
-    Each node of the enumeration adds one edge of higher index than those
-    already in H, so every subset is visited once, and each level is
-    undone on the way back: a union-find with union by rank and no path
-    compression, and per vertex a doubly linked sub-rotation into which a
-    dart is inserted after its nearest present predecessor in the full
-    rotation.  Faces are counted by rule, never re-traced: an edge joining
-    two components merges two faces; an edge inside one component splits
-    a face when its two corners lie on one face and otherwise merges two
-    (raising the genus by one).  A face is the orbit of
-    phi(d) = sigma_H(alpha(d)), and a corner is named by the dart after
-    it, which lies on its face.  A subset whose highest edge is the last
-    one is a leaf: it is counted by that rule alone and never built.
-    With ``faces`` false f(H) is reported as 0 and no sub-rotation is kept.
+
+def _order(g: EmbeddedGraph) -> list[int]:
+    """The edges of ``g`` in the order :func:`_transfer` decides them.
+
+    A run is a maximal block of undecided darts, consecutive in the
+    rotation of a vertex with a decided dart.  No edge is attached between
+    two darts of a run, so a run lies whole on one boundary curve of a
+    transfer state, and the run count bounds the number of distinct
+    states.  Each next edge is the one after which the run count can rise
+    least in two steps; ties go to the edge that brings fewer new darts
+    into the state, then to the one that raises the run count less
+    itself, then to the loop with fewer undecided darts between its two on
+    the shorter side, then to the lower index.
     """
-    nv = g.vertex_count
-    m = g.edge_count
-    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
-    alpha = [index_of[g.alpha[d]] for d in index_of]
-    sigma_inv = [index_of[g.sigma_inv[d]] for d in index_of]
+    sigma, sigma_inv, dv, de = g.sigma, g.sigma_inv, g.dart_vertex, g.dart_edge
+    # A run starts at each undecided dart whose predecessor is decided, so
+    # deciding edge j raises the run count by rise[j], and lowers rise[k]
+    # by one for each rotation neighbour of k's darts that is a dart of j.
+    rise = {}
+    near: list[dict[int, int]] = []
+    for j, (a, b) in enumerate(g.edge_darts):
+        rise[j] = (sigma[a] != a) + (sigma[b] not in (a, b)) - (sigma_inv[b] == a)
+        counts: dict[int, int] = {}
+        for x in (sigma[a], sigma_inv[a], sigma[b], sigma_inv[b]):
+            if de[x] != j:
+                counts[de[x]] = counts.get(de[x], 0) + 1
+        near.append(counts)
+    degree = [len(rot) for rot in g.rotations]
+    undecided = degree[:]
+    decided: set[int] = set()
+    order = []
+    while rise:
+        ranked = sorted(rise, key=rise.__getitem__)
+        best: tuple[int, ...] | None = None
+        for j in rise:  # ascending, so ties go to the lower index
+            then = min([rise[k] - c for k, c in near[j].items() if k in rise] or [2])
+            for k in ranked:
+                if k != j and k not in near[j]:
+                    then = min(then, rise[k])
+                    break
+            a, b = g.edge_darts[j]
+            u, w = dv[a], dv[b]
+            fresh = (undecided[u] == degree[u]) * degree[u]
+            fresh += (w != u and undecided[w] == degree[w]) * degree[w]
+            cost = (rise[j] + then, fresh, rise[j])
+            if best is not None and cost > best[:3]:
+                continue
+            span = 0
+            if u == w:
+                d = sigma[a]
+                while d != b:
+                    span += d not in decided
+                    d = sigma[d]
+                span = min(span, undecided[u] - 2 - span)
+            if best is None or (*cost, span) < best:
+                best, pick = (*cost, span), j
+        del rise[pick]
+        for k, c in near[pick].items():
+            if k in rise:
+                rise[k] -= c
+        order.append(pick)
+        a, b = g.edge_darts[pick]
+        decided.update((a, b))
+        undecided[dv[a]] -= 1
+        undecided[dv[b]] -= 1
+    return order
+
+
+def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
+    """Count the 2^|E| spanning subsets H of ``g`` by (k(H), |H|, f(H)), edge by edge.
+
+    The edges are decided absent or present in the order of :func:`_order`,
+    and a table maps each state to the counts of the decided subsets that
+    reach it, in the flat census layout k * sk + |H| * se + f, where k and
+    f count the components and faces already closed.  A state lists the
+    boundary curves of the surface made of the touched vertex discs and
+    the present decided edges: each curve is the cyclic sequence of the
+    undecided darts along it, from its least dart, with the label of its
+    component.  Deciding edge (a, b) absent drops a and b.  Present, with
+    both darts on one curve a X b Y it leaves two curves X and Y; with its
+    darts on two curves a X and b Y it leaves one curve X Y and merges
+    their components.  An emptied curve adds one closed face, and a
+    component with no open curve left adds one closed component.  A vertex
+    enters as its rotation when it is first touched, and a vertex never
+    touched counts one component and one face.  With ``faces`` false f(H)
+    is reported as 0 and a state is only the partition, into components,
+    of the touched vertices that still have undecided edges.
+    """
+    nv, m = g.vertex_count, g.edge_count
+    order = _order(g)
     dv = g.dart_vertex
-    ends = [(dv[a], dv[b], index_of[a], index_of[b]) for a, b in g.edge_darts]
-    parent = list(range(nv))
-    rank = [0] * nv
-    nxt = [-1] * len(alpha)  # sub-rotation successor; -1 marks an absent dart
-    prv = [-1] * len(alpha)
-    degree = [0] * nv  # darts present at each vertex
     # census index k * sk + |H| * se + f, with f <= nv + |H|
     se = nv + m + 1 if faces else 1
     sk = (m + 1) * se
+    untouched = sum(not rot for rot in g.rotations)
+    start = untouched * (sk + faces)
+    touched: set[int] = set()
+    steps = []
+    if faces:
+        for j in order:
+            a, b = g.edge_darts[j]
+            fresh = []
+            for v in dict.fromkeys((dv[a], dv[b])):
+                if v not in touched:
+                    touched.add(v)
+                    rot = g.rotations[v]
+                    i = rot.index(min(rot))
+                    fresh.append(rot[i:] + rot[:i])
+            steps.append((a, b, tuple(fresh), se, sk))
+        decide = _decide_curves
+    else:
+        remaining = [len(rot) for rot in g.rotations]
+        frontier: list[int] = []
+        for j in order:
+            a, b = g.edge_darts[j]
+            u, w = dv[a], dv[b]
+            fresh = [v for v in dict.fromkeys((u, w)) if v not in touched]
+            touched.update(fresh)
+            frontier += fresh
+            remaining[u] -= 1
+            remaining[w] -= 1
+            kept = tuple(i for i, v in enumerate(frontier) if remaining[v])
+            gone = tuple(i for i, v in enumerate(frontier) if not remaining[v])
+            steps.append((frontier.index(u), frontier.index(w), len(fresh), kept, gone, sk))
+            frontier = [frontier[i] for i in kept]
+        decide = _decide_blocks
     census = [0] * ((nv + 1) * sk)
-
-    def before(d: int) -> int:
-        """Nearest present dart before ``d`` in its full rotation."""
-        p = sigma_inv[d]
-        while nxt[p] < 0:
-            p = sigma_inv[p]
-        return p
-
-    def insert(d: int, p: int) -> None:
-        if p < 0:
-            nxt[d] = prv[d] = d
-        else:
-            s = nxt[p]
-            nxt[p] = d
-            prv[d] = p
-            nxt[d] = s
-            prv[s] = d
-
-    def unlink(d: int) -> None:
-        p, s = prv[d], nxt[d]
-        nxt[p] = s
-        prv[s] = p
-        nxt[d] = -1
-
-    def one_face(x: int, y: int) -> bool:
-        """Whether darts x and y share a face; walks both, so costs the shorter."""
-        cx, cy = x, y
-        while x != cy:
-            x = nxt[alpha[x]]
-            if x == cx:
-                return False
-            y = nxt[alpha[y]]
-            if y == cx:
-                return True
-            if y == cy:
-                return False
-        return True
-
-    index = nv * sk + (nv if faces else 0)
-    census[index] = 1
-    # the edges in H, each with H's census index before it and what undoes it
-    path: list[tuple[int, int, int, int]] = []
-    j = 0
-    while True:
-        if j < m:  # the child H + j
-            u, w, a, b = ends[j]
-            ru = u
-            while parent[ru] != ru:
-                ru = parent[ru]
-            rw = w
-            while parent[rw] != rw:
-                rw = parent[rw]
-            joined = ru != rw
-            step = se - sk if joined else se
-            if faces:
-                pa = before(a) if degree[u] else -1
-                pb = before(b) if degree[w] else -1
-                # a loop at an isolated vertex has both corners on its one face
-                if not joined and (pa < 0 or one_face(nxt[pa], nxt[pb])):
-                    step += 1
-                else:
-                    step -= 1
-            census[index + step] += 1
-            if j + 1 < m:  # H + j has children, so build it; a leaf is only counted
-                merged = bumped = -1
-                if joined:
-                    if rank[ru] < rank[rw]:
-                        ru, rw = rw, ru
-                    parent[rw] = ru
-                    merged = rw
-                    if rank[ru] == rank[rw]:
-                        rank[ru] += 1
-                        bumped = ru
-                if faces:
-                    insert(a, pa)
-                    degree[u] += 1
-                    if u == w and pa == pb:
-                        pb = before(b)
-                    insert(b, pb)
-                    degree[w] += 1
-                path.append((j, index, merged, bumped))
-                index += step
-                j += 1
-                continue
-        # undo the highest edge of H and go on to its next sibling
-        if not path:
-            break
-        j, index, merged, bumped = path.pop()
-        if faces:
-            u, w, a, b = ends[j]
-            unlink(b)
-            degree[w] -= 1
-            unlink(a)
-            degree[u] -= 1
-        if merged >= 0:
-            parent[merged] = merged
-            if bumped >= 0:
-                rank[bumped] -= 1
-        j += 1
+    parts = [(0, {((), ()) if faces else (): {start: 1}})]
+    while parts:
+        first, table = parts.pop()
+        for i in range(first, m):
+            if len(table) > _STATE_CAP:
+                items = list(table.items())
+                parts.append((i, dict(items[_STATE_CAP:])))
+                table = dict(items[:_STATE_CAP])
+            out: dict = {}
+            for state, counts in table.items():
+                for key, delta in decide(state, *steps[i]):
+                    dst = out.get(key)
+                    if dst is None:
+                        out[key] = {x + delta: n for x, n in counts.items()}
+                    else:
+                        for x, n in counts.items():
+                            dst[x + delta] = dst.get(x + delta, 0) + n
+            table = out
+        for counts in table.values():
+            for x, n in counts.items():
+                census[x] += n
     return _unpack(census, sk, se)
+
+
+Curves = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def _decide_curves(
+    state: Curves, a: int, b: int, fresh: tuple[tuple[int, ...], ...], se: int, sk: int
+) -> list[tuple[Curves, int]]:
+    """The states and census steps of edge (a, b) absent and present."""
+    curves, labels = state
+    if fresh:
+        top = max(labels, default=-1) + 1
+        curves += fresh
+        labels += tuple(range(top, top + len(fresh)))
+    for i, c in enumerate(curves):
+        if a in c:
+            ia = i
+        if b in c:
+            ib = i
+    ca, la, lb = curves[ia], labels[ia], labels[ib]
+    i = ca.index(a)
+    x = ca[i + 1:] + ca[:i]  # the curve from after a round to before a
+    if ia == ib:
+        k = x.index(b)
+        absent = [(x[:k] + x[k + 1:], la)]
+        present = [(x[:k], la), (x[k + 1:], la)]
+    else:
+        cb = curves[ib]
+        k = cb.index(b)
+        y = cb[k + 1:] + cb[:k]
+        absent = [(x, la), (y, lb)]
+        present = [(x + y, la)]
+    rest = [(c, l) for i, (c, l) in enumerate(zip(curves, labels)) if i != ia and i != ib]
+    return [_settle(rest, absent, 0, sk), _settle(rest, present, se, sk, lb, la)]
+
+
+def _settle(
+    rest: list[tuple[tuple[int, ...], int]], changed: list[tuple[tuple[int, ...], int]],
+    step: int, sk: int, merged: int = -1, into: int = -1,
+) -> tuple[Curves, int]:
+    """The canonical state of the curves ``rest`` and ``changed``, the label
+    ``merged`` renamed ``into``, with the step that counts what closed."""
+    if merged != into:
+        rest = [(c, into if l == merged else l) for c, l in rest]
+    else:
+        rest = rest[:]
+    closing = set()
+    for c, l in changed:
+        if c:
+            i = c.index(min(c))
+            rest.append((c[i:] + c[:i], l))
+        else:  # a closed face, and perhaps the last open curve of its component
+            step += 1
+            closing.add(l)
+    if closing:
+        step += sk * len(closing.difference(l for _, l in rest))
+    rest.sort()
+    relabel: dict[int, int] = {}
+    return (tuple(c for c, _ in rest), tuple(relabel.setdefault(l, len(relabel)) for _, l in rest)), step
+
+
+def _decide_blocks(
+    state: tuple[int, ...], iu: int, iw: int, fresh: int,
+    kept: tuple[int, ...], gone: tuple[int, ...], sk: int,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The states and census steps of an edge, absent and present, without faces."""
+    if fresh:
+        top = max(state, default=-1) + 1
+        state += tuple(range(top, top + fresh))
+    out = []
+    lu, lw = state[iu], state[iw]
+    for labels, step in ((state, 0), (tuple(lu if l == lw else l for l in state), 1)):
+        keep = [labels[i] for i in kept]
+        closed = {labels[i] for i in gone}.difference(keep)
+        relabel: dict[int, int] = {}
+        out.append((tuple(relabel.setdefault(l, len(relabel)) for l in keep), step + sk * len(closed)))
+    return out
 
 
 def _unpack(census: list[int], sk: int, se: int) -> dict[tuple[int, int, int], int]:
@@ -351,7 +452,7 @@ def _ribbon_polynomial(
 
 
 def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
-    """Enumerate all 2^|E| spanning sub-ribbons of ``g``, depth first."""
+    """Count all 2^|E| spanning sub-ribbons of ``g`` by genus, with the transfer."""
     _check_cap(g.edge_count, edge_cap)
     return _ribbon_polynomial(g, _subset_census(g, faces=True))
 
@@ -361,8 +462,8 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
 
     The plain per-mask sweep over ``EmbeddedGraph.subset_counter``, kept
     as the oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
-    Each mask is rebuilt and re-traced on its own; with :func:`_walk` it
-    shares only the flat census layout k * sk + |H| * se + f, where
+    Each mask is rebuilt and re-traced on its own; with :func:`_transfer`
+    it shares only the flat census layout k * sk + |H| * se + f, where
     f <= nv + |H|, and :func:`_unpack`.
     """
     m = g.edge_count
@@ -381,10 +482,10 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
 def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
     """Whitney's rank polynomial: the z = 1 specialization of the BRT polynomial.
 
-    Sums x^(k(H)-1) y^(n(H)) over the subsets H with the depth-first
-    enumeration of :func:`brt_polynomial`, keeping only its union-find:
-    component counts alone, no sub-rotations and no faces.  This is the
-    production path for Tutte values (:func:`tutte_eval`);
+    Sums x^(k(H)-1) y^(n(H)) over the subsets H with the transfer of
+    :func:`brt_polynomial`, its states reduced to the partition of the
+    frontier vertices into components: no curves and no faces.  This is
+    the production path for Tutte values (:func:`tutte_eval`);
     ``check_rank_oracle`` compares it with ``brt_by_sweep`` at z = 1.
     """
     _check_cap(g.edge_count, edge_cap)
@@ -401,9 +502,9 @@ def tutte_eval(
     """Tutte polynomial value T(x, y) = R(x-1, y-1), R the rank polynomial.
 
     T(x, y) = BRT(x-1, y-1, 1), and z = 1 erases the genus exponent, so
-    only component counts matter and no sub-ribbon faces are traced.
-    ``check_rank_oracle`` cross-checks the rank polynomial against the
-    BRT sweep at z = 1.  At the default cap the polynomial is enumerated
+    only component counts matter and the transfer carries no boundary
+    curves.  ``check_rank_oracle`` cross-checks the rank polynomial against
+    the BRT sweep at z = 1.  At the default cap the polynomial is counted
     once per graph (``EmbeddedGraph.derived``).
     """
     if edge_cap == DEFAULT_EDGE_CAP:

@@ -144,8 +144,9 @@ class EmbeddedGraph:
         """``fn(self)``, computed once per graph and function.
 
         The per-graph memo of data that other modules derive from the
-        graph (the medial trace, the default tree/co-tree, the polynomials,
-        the space summary and the bicycle basis).
+        graph (the medial trace and its strand basis, the default
+        tree/co-tree, the polynomials, the space summary and the bicycle
+        basis).
         It lives in the instance ``__dict__`` beside the cached properties,
         keyed by the function object, so a replaced function gets its own
         entry and no graph is kept alive by a module.  An exception is

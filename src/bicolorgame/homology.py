@@ -124,9 +124,15 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
     return gf2.parities(cycles, u)
 
 
+def strand_basis(g: EmbeddedGraph) -> GF2Matrix:
+    """The strand space of ``g``'s medial trace, ranked once per graph when
+    read as ``g.derived(strand_basis)``."""
+    return strand_space(g.derived(trace_medial))
+
+
 def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
     """(strand basis, its homology images against ``cycles``); rows correspond pairwise."""
-    basis = strand_space(g.derived(trace_medial))
+    basis = g.derived(strand_basis)
     images = tuple(homology_image(g, cycles, v) for v in basis.rows)
     return basis, GF2Matrix(cycles.nrows, images)
 

@@ -17,7 +17,7 @@ from typing import Iterator
 from . import gf2, spaces
 from .embedded import EmbeddedGraph
 from .errors import InternalInvariantError, UnsupportedError
-from .medial import strand_space, trace_medial
+from .homology import strand_basis
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def planar_representatives(g: EmbeddedGraph) -> RepresentativeSet:
             "canonical representatives are only defined for plane graphs (genus 0)"
         )
     # both sides in reduced echelon form, which is unique to a row space
-    reduced, pivots = gf2.rref(strand_space(g.derived(trace_medial)))
+    reduced, pivots = gf2.rref(g.derived(strand_basis))
     if reduced.rows != g.derived(spaces.bicycle_space).rows:
         raise InternalInvariantError("strand space differs from the bicycle space at genus 0")
     # pivot columns: the reduced vector j has a 1 there and all others 0,

@@ -28,8 +28,8 @@ from .brt import (
 )
 from .embedded import EmbeddedGraph
 from .errors import EdgeCapError, InternalInvariantError, InvalidGraphError
-from .homology import class_count_homology, strand_kernel_basis, tree_cotree
-from .medial import strand_space, trace_medial
+from .homology import class_count_homology, strand_basis, strand_kernel_basis, tree_cotree
+from .medial import trace_medial
 from .representatives import planar_representatives, verify_representatives
 
 
@@ -213,9 +213,8 @@ def check_component_count_identity(g: EmbeddedGraph) -> Verdict:
 
 @_check("inclusion-chain")
 def check_inclusions(g: EmbeddedGraph) -> Verdict:
-    mc = g.derived(trace_medial)
     try:
-        strands = strand_space(mc)
+        strands = g.derived(strand_basis)
     except InternalInvariantError as exc:
         return False, f"no strand space: {exc}"
     # strands is a basis, so adding U cap U* raises the rank unless it lies inside
@@ -268,7 +267,7 @@ def check_bot_rank(g: EmbeddedGraph) -> Verdict:
 
 @_check("whitney-specialization")
 def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
-    """Both depth-first enumerations against the per-mask sweep.
+    """Both transfer counts against the per-mask sweep.
 
     The three-variable comparison checks the face counts of
     ``brt_polynomial``; z = 1 checks the component counts of the rank

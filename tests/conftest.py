@@ -96,6 +96,48 @@ def interlaced_bouquet(pairs: int) -> EmbeddedGraph:
     return EmbeddedGraph((tuple(range(4 * pairs)),), tuple(edge_darts))
 
 
+def random_bouquet(seed: int, loops: int) -> EmbeddedGraph:
+    """One vertex with ``loops`` loops, edge j on darts 2j and 2j + 1, its
+    rotation shuffled by ``Random(seed)``."""
+    rotation = list(range(2 * loops))
+    Random(seed).shuffle(rotation)
+    return EmbeddedGraph((tuple(rotation),), tuple((2 * j, 2 * j + 1) for j in range(loops)))
+
+
+def random_simple_graph(seed: int, vertices: int, edges: int) -> EmbeddedGraph:
+    """A connected simple graph drawn by ``Random(seed)``: a random set of
+    vertex pairs, drawn again until it connects, with shuffled rotations."""
+    rng = Random(seed)
+    pairs = [(u, w) for w in range(vertices) for u in range(w)]
+    while True:
+        chosen = rng.sample(pairs, edges)
+        parent = list(range(vertices))
+        for u, w in chosen:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[w] != w:
+                w = parent[w]
+            parent[u] = w
+        if sum(parent[v] == v for v in range(vertices)) == 1:
+            break
+    rotations: list[list[int]] = [[] for _ in range(vertices)]
+    for j, (u, w) in enumerate(chosen):
+        rotations[u].append(2 * j)
+        rotations[w].append(2 * j + 1)
+    for rot in rotations:
+        rng.shuffle(rot)
+    return EmbeddedGraph(tuple(map(tuple, rotations)), tuple((2 * j, 2 * j + 1) for j in range(edges)))
+
+
+# Of the 26-loop bouquets of seeds 0..399, the one whose core holds the most
+# live states in the BRT transfer: 3740, where the median seed holds 184.
+WORST_BOUQUET = (253, 26)
+# Of the simple graphs with V = 8 or 9 and E = 26 of seeds 0..119, the one
+# whose core holds the most: 15255 states in one table unless it is split,
+# where the median draw holds about 5300.
+WORST_SIMPLE_GRAPH = (37, 8, 26)
+
+
 def long_decimal(value: int | Fraction) -> str:
     """Reference rendering of an int or Fraction, as str() would give it
     with no digit limit: 18 digits at a time, each chunk far below it."""

@@ -7,9 +7,17 @@ from math import comb
 from random import Random
 
 import pytest
-from conftest import digon_chain, interlaced_bouquet
+from conftest import (
+    WORST_BOUQUET,
+    WORST_SIMPLE_GRAPH,
+    digon_chain,
+    interlaced_bouquet,
+    random_bouquet,
+    random_simple_graph,
+)
 
 import bicolorgame.brt as brt_module
+from bicolorgame import spaces
 from bicolorgame.brt import (
     TrivariatePolynomial,
     brt_by_sweep,
@@ -138,7 +146,7 @@ DEGENERATE = {
 
 
 def test_z_one_specialization_matches_rank_oracle(random_batch, planar_batch):
-    # the depth-first BRT must equal the per-mask sweep in all three
+    # the transfer's BRT must equal the per-mask sweep in all three
     # variables, and the rank polynomial must equal the sweep at z = 1;
     # the bouquet's one vertex of degree 32 gives the sweep its longest
     # rotation scans
@@ -176,8 +184,6 @@ def test_theorem_strand_count_random(random_batch):
 
 def test_planar_tutte_counts_bicycles(planar_batch, random_batch):
     # |T(-1,-1)| = 2^(bicycle dim) holds on every surface, not only the plane
-    from bicolorgame import spaces
-
     graphs = planar_batch[:30] + [g for g in random_batch if g.genus > 0]
     for g in graphs:
         b = spaces.bicycle_space(g).nrows
@@ -289,28 +295,28 @@ def rank_polynomial(g, census):
     return TrivariatePolynomial({(k - 1, e - nv + k, 0): n for (k, e, _), n in census.items()})
 
 
-def test_walk_matches_sweep_unpeeled(random_batch):
-    # peeling takes most loops and every bridge away from the walk, so its
-    # loop branches are checked here on graphs it sees whole
+def test_transfer_matches_sweep_unpeeled(random_batch):
+    # peeling takes most loops and every bridge away from the transfer, so
+    # its loop and bridge steps are checked here on graphs it sees whole
     graphs = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
     graphs += [load_fixture("sphere_loop"), load_fixture("sphere_edge"), *random_batch[:60]]
     for g in graphs:
         swept = brt_by_sweep(g)
-        assert brt_module._ribbon_polynomial(g, brt_module._walk(g, faces=True)) == swept
-        assert rank_polynomial(g, brt_module._walk(g, faces=False)) == swept.specialize_z_one()
+        assert brt_module._ribbon_polynomial(g, brt_module._transfer(g, faces=True)) == swept
+        assert rank_polynomial(g, brt_module._transfer(g, faces=False)) == swept.specialize_z_one()
 
 
 @pytest.fixture
 def core_sizes(monkeypatch):
-    """Edge counts of the cores walked, in call order."""
+    """Edge counts of the cores counted, in call order."""
     sizes = []
-    walk = brt_module._walk
+    transfer = brt_module._transfer
 
-    def recording_walk(g, faces):
+    def recording_transfer(g, faces):
         sizes.append(g.edge_count)
-        return walk(g, faces)
+        return transfer(g, faces)
 
-    monkeypatch.setattr(brt_module, "_walk", recording_walk)
+    monkeypatch.setattr(brt_module, "_transfer", recording_transfer)
     return sizes
 
 
@@ -524,3 +530,62 @@ def test_census_matches_the_reference_walk_at_e18(core_sizes):
             assert brt_module._subset_census(g, faces) == reference_census(g, faces)
     # the draws cover a core left whole with faces, and cores that peel
     assert core_sizes == [18, 17, 15, 13, 9, 8]
+
+
+def relabelled(g: EmbeddedGraph, rng: Random) -> tuple[EmbeddedGraph, dict[int, int]]:
+    """``g`` with new dart labels, its vertices and edges listed in a new
+    order, each edge's darts in either order and each rotation started at
+    a new dart: the same embedded graph.  Also the map of the dart labels."""
+    darts = sorted(g.alpha)
+    label = dict(zip(darts, rng.sample(range(3 * len(darts)), len(darts))))
+    rotations = []
+    for rot in g.rotations:
+        i = rng.randrange(len(rot)) if rot else 0
+        rotations.append([label[d] for d in rot[i:] + rot[:i]])
+    rng.shuffle(rotations)
+    edges = [(label[a], label[b])[:: rng.choice((1, -1))] for a, b in g.edge_darts]
+    rng.shuffle(edges)
+    return EmbeddedGraph(rotations, edges), label
+
+
+def test_relabelling_changes_the_order_but_not_the_polynomials(random_batch):
+    rng = Random(0x1AB)
+    graphs = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()] + random_batch
+    reordered = 0
+    for g in graphs:
+        h, label = relabelled(g, rng)
+        assert brt_polynomial(h) == brt_polynomial(g)
+        assert whitney_rank_polynomial(h) == whitney_rank_polynomial(g)
+        # h's order in g's edges: the tie-breaks by index now fall elsewhere
+        back = {new: old for old, new in label.items()}
+        order = [g.dart_edge[back[h.edge_darts[j][0]]] for j in brt_module._order(h)]
+        reordered += order != brt_module._order(g)
+    assert reordered > len(graphs) // 4
+
+
+def test_routes_agree_at_the_edge_cap():
+    # 2^26 subsets each: the sum, the strand count and the bicycle count
+    # checked where no sweep reaches, on the worst cores found for the transfer
+    rng = Random(89)
+    graphs = [
+        digon_chain(13),
+        interlaced_bouquet(13),
+        random_bouquet(*WORST_BOUQUET),
+        random_simple_graph(*WORST_SIMPLE_GRAPH),
+        draw(lambda: random_embedded_graph(rng, max_vertices=12, max_edges=26), edges=26),
+    ]
+    for g in graphs:
+        brt = brt_polynomial(g)
+        rank = whitney_rank_polynomial(g)
+        assert sum(brt.coeffs.values()) == sum(rank.coeffs.values()) == 1 << 26
+        strands = trace_medial(g).count
+        assert abs(brt.evaluate(-2, -2, Fraction(1, 4))) == 1 << (strands - 1)
+        assert abs(tutte_eval(g, -1, -1)) == 1 << spaces.summarize(g).bicycle_dim
+
+
+def test_a_table_over_the_state_cap_is_finished_in_parts(monkeypatch, random_batch):
+    # a cap of one state splits every table with two or more
+    graphs = [interlaced_bouquet(4), digon_chain(4), *random_batch[:40]]
+    want = [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs]
+    monkeypatch.setattr(brt_module, "_STATE_CAP", 1)
+    assert [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs] == want

@@ -12,12 +12,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import digon_chain, interlaced_bouquet, long_decimal
+from conftest import WORST_SIMPLE_GRAPH, digon_chain, interlaced_bouquet, long_decimal, random_simple_graph
 
-from bicolorgame import brt, cli, homology
+from bicolorgame import brt, cli, homology, spaces
 from bicolorgame.cli import main
 from bicolorgame.embedded import format_rotation_system
 from bicolorgame.fixtures import fixture_text, load_fixture
+from bicolorgame.medial import trace_medial
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +361,26 @@ def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
     assert first == "edges " + " ".join(str(2 * i) for i in range(19)) + "\n"
     assert last == "verified\n"
     assert count == (1 << 19) + 2
+
+
+def test_brt_and_tutte_at_the_edge_cap_in_bounded_memory(tmp_path):
+    # the core with the most transfer states found, split into parts
+    resource = pytest.importorskip("resource")
+    g = random_simple_graph(*WORST_SIMPLE_GRAPH)
+    p = tmp_path / "simple.rot"
+    p.write_text(format_rotation_system(g), encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    want = {"brt": 1 << (trace_medial(g).count - 1), "tutte": 1 << spaces.summarize(g).bicycle_dim}
+    for argv in (["brt", "--eval", "-2", "-2", "1/4"], ["tutte", "--eval", "-1", "-1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicolorgame.cli", argv[0], str(p), *argv[1:]],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-1024:]
+        assert abs(int(proc.stdout)) == want[argv[0]]
 
 
 def test_reps_json_streams_its_colorings_in_bounded_memory(tmp_path):

@@ -102,7 +102,7 @@ def _strand_dropped(monkeypatch, g):
 
 
 def _strand_space_emptied(monkeypatch, g):
-    monkeypatch.setattr(selfcheck, "strand_space", lambda mc: GF2Matrix(mc.edge_count))
+    monkeypatch.setattr(selfcheck, "strand_basis", lambda h: GF2Matrix(h.edge_count))
     return g
 
 
@@ -227,6 +227,7 @@ def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypa
 
     assert not selfcheck.failed_checks(selfcheck.run_all_checks(torus_grid))
     monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    monkeypatch.setattr(selfcheck, "strand_basis", lambda h: medial.strand_space(trace_medial(h)))
     results = selfcheck.run_all_checks(torus_grid)
     assert len(results) == len(selfcheck.ALL_CHECKS) == 14
     failed = {r.name: r.detail for r in selfcheck.failed_checks(results)}
@@ -256,10 +257,10 @@ def test_strand_lemma_fails_on_a_trace_vector_off_the_double_cycles(monkeypatch,
 
 def test_inclusions_fail_on_a_strand_row_off_the_double_cycles(monkeypatch, torus_grid):
     # the one-edge row 1 under the real basis keeps U cap U* inside the span
-    real = selfcheck.strand_space
+    real = selfcheck.strand_basis
     assert selfcheck.check_inclusions(torus_grid).ok
     monkeypatch.setattr(
-        selfcheck, "strand_space", lambda mc: gf2.stack(real(mc), GF2Matrix(mc.edge_count, (1,)))
+        selfcheck, "strand_basis", lambda h: gf2.stack(real(h), GF2Matrix(h.edge_count, (1,)))
     )
     result = selfcheck.check_inclusions(torus_grid)
     assert (result.ok, result.detail) == (False, "strand space leaves the double cycle space")
@@ -381,7 +382,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
         "default strand kernel": 1,
         "summarize": 1,
         "bicycle_space": 1,
-        "rref": 24,
+        "rref": 20,
     }
     calls.clear()
     assert not selfcheck.failed_checks(selfcheck.run_all_checks(load_fixture("plane_two_triangles")))
@@ -392,7 +393,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
         "tree_cotree": 5,
         "summarize": 1,
         "bicycle_space": 1,  # summarize's, which the representatives read too
-        "rref": 32,
+        "rref": 27,
     }
 
 
