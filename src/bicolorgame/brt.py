@@ -14,8 +14,9 @@ decided absent or present one at a time, and the subsets decided so far
 are grouped by a state, the boundary curves of the ribbon surface they
 span with their components, so each state is carried once with its counts
 (the partition states of Sekine, Imai & Tani, ISAAC 1995, extended to
-ribbon faces).  :func:`brt_by_sweep` re-traces every subset of the whole
-graph and is the oracle.  The x variable is shifted by one relative to
+ribbon faces).  :func:`brt_by_sweep` is the oracle: it visits every
+subset of the whole graph in Gray-code order, one edge toggle and one
+face walk from the last.  The x variable is shifted by one relative to
 the oldest convention, so the Tutte polynomial is T(x, y) =
 BRT(x-1, y-1, 1), which is Whitney's rank polynomial at (x-1, y-1):
 Tutte values need component counts only and come from
@@ -458,23 +459,22 @@ def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Trivar
 
 
 def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
-    """The BRT polynomial with every subset rebuilt and its faces re-traced.
+    """The BRT polynomial from every subset of the whole graph, one at a time.
 
-    The plain per-mask sweep over ``EmbeddedGraph.subset_counter``, kept
-    as the oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
-    Each mask is rebuilt and re-traced on its own; with :func:`_transfer`
-    it shares only the flat census layout k * sk + |H| * se + f, where
-    f <= nv + |H|, and :func:`_unpack`.
+    The Gray-code sweep of ``EmbeddedGraph.subset_sweep``, kept as the
+    oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests: each
+    subset follows from the last by one edge toggle and one face walk, on
+    the unpeeled graph.  With :func:`_transfer` it shares only the flat
+    census layout k * sk + |H| * se + f, where f <= nv + |H|, and
+    :func:`_unpack`.
     """
     m = g.edge_count
     _check_cap(m, DEFAULT_EDGE_CAP)
-    count = g.subset_counter()
     nv = g.vertex_count
     se = nv + m + 1
     sk = (m + 1) * se
     census = [0] * ((nv + 1) * sk)
-    for mask in range(1 << m):
-        k, f = count(mask)
+    for mask, k, f in g.subset_sweep():
         census[k * sk + mask.bit_count() * se + f] += 1
     return _ribbon_polynomial(g, _unpack(census, sk, se))
 

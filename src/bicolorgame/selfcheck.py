@@ -267,9 +267,11 @@ def check_bot_rank(g: EmbeddedGraph) -> Verdict:
 
 @_check("whitney-specialization")
 def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
-    """Both transfer counts against the per-mask sweep.
+    """Both transfer counts against the Gray-code sweep of every subset.
 
-    The three-variable comparison checks the face counts of
+    ``brt_by_sweep`` updates each subset's components and faces from the
+    last subset's, on the whole unpeeled graph, sharing no code with the
+    transfer.  The three-variable comparison checks the face counts of
     ``brt_polynomial``; z = 1 checks the component counts of the rank
     polynomial.
     """

@@ -112,7 +112,7 @@ def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
         raise AssertionError("enumerated past the cap")
 
     # the cap is tested before any subset is enumerated, on every route
-    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_enumeration)
+    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_enumeration)
     monkeypatch.setattr(brt_module, "_subset_census", no_enumeration)
     message = "9 edges exceeds the enumeration cap 8"
     for enumerate_subsets in (brt_polynomial, whitney_rank_polynomial):
@@ -146,13 +146,19 @@ DEGENERATE = {
 
 
 def test_z_one_specialization_matches_rank_oracle(random_batch, planar_batch):
-    # the transfer's BRT must equal the per-mask sweep in all three
+    # the transfer's BRT must equal the Gray-code sweep in all three
     # variables, and the rank polynomial must equal the sweep at z = 1;
-    # the bouquet's one vertex of degree 32 gives the sweep its longest
-    # rotation scans
+    # at E = 20 the bouquet's one vertex of degree 40 gives the sweep its
+    # longest corner scans, and the genus-5 draw on 5 vertices its
+    # component searches
     degenerate = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
     fixtures = [load_fixture(name) for name in fixture_names()]
-    for g in [*fixtures, *degenerate, interlaced_bouquet(8), *random_batch, *planar_batch]:
+    large = [
+        interlaced_bouquet(10),
+        random_embedded_graph(Random(383), max_vertices=6, max_edges=20),
+    ]
+    assert [(g.edge_count, g.genus) for g in large] == [(20, 10), (20, 5)]
+    for g in [*fixtures, *degenerate, interlaced_bouquet(8), *large, *random_batch, *planar_batch]:
         swept = brt_by_sweep(g)
         assert brt_polynomial(g) == swept
         assert whitney_rank_polynomial(g) == swept.specialize_z_one()
@@ -251,7 +257,7 @@ def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
     def no_face_tracing(self):
         raise AssertionError("tutte_eval traced sub-ribbon faces")
 
-    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_face_tracing)
+    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_face_tracing)
     assert tutte_eval(torus_grid, -1, -1) == want
     path = tmp_path / "torus_grid.rot"
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
@@ -263,7 +269,7 @@ def test_brt_traces_no_per_subset_faces(monkeypatch, torus_grid, tmp_path, capsy
     def no_face_tracing(self):
         raise AssertionError("a subset's faces were re-traced")
 
-    monkeypatch.setattr(EmbeddedGraph, "subset_counter", no_face_tracing)
+    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_face_tracing)
     assert dict(brt_polynomial(torus_grid).coeffs) == TORUS_GRID_BRT
     assert medial_component_count_via_brt(torus_grid) == 3
     path = tmp_path / "torus_grid.rot"

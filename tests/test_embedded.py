@@ -324,49 +324,53 @@ def reference_subset_counter(g):
     return count
 
 
-def test_subset_counter_matches_the_reference(random_batch):
-    # every mask, ascending then descending on the same counter, so that a
-    # mark left by one call and read by the next would show
+def swept(g):
+    """The sweep's (k, f) by mask, each mask checked to come exactly once."""
+    out = {}
+    for mask, k, f in g.subset_sweep():
+        assert mask not in out
+        out[mask] = (k, f)
+    assert sorted(out) == list(range(1 << g.edge_count))
+    return out
+
+
+def test_subset_sweep_matches_the_reference(random_batch):
+    # every mask once, each (k, f) as rebuilt from scratch; a face split or
+    # merge, or a component count, carried wrong from one step to the next
+    # would show at the next mask
     graphs = [g for g in random_batch if g.edge_count <= 10]
     graphs += [load_fixture(name) for name in fixture_names()]
     for g in graphs:
-        count, reference = g.subset_counter(), reference_subset_counter(g)
-        masks = range(1 << g.edge_count)
-        expected = [reference(mask) for mask in masks]
-        assert [count(mask) for mask in masks] == expected
-        assert [count(mask) for mask in reversed(masks)] == expected[::-1]
-        assert count(masks[-1]) == count(masks[-1]) == expected[-1]
+        reference = reference_subset_counter(g)
+        for mask, counts in swept(g).items():
+            assert counts == reference(mask)
 
 
-def test_subset_counter_rejects_masks_outside_the_edges(torus_grid, torus_rose):
-    for g in (torus_grid, torus_rose):
-        count = g.subset_counter()
-        e = g.edge_count
-        for mask in (-1, -(1 << e), 1 << e, (1 << e) | 1):
-            with pytest.raises(ValueError, match="vector length does not match the edge count"):
-                count(mask)
-        assert count((1 << e) - 1) == (1, g.face_count)
+def test_subset_sweep_order(torus_rose):
+    # reflected Gray code: step i toggles edge (i & -i).bit_length() - 1
+    masks = [mask for mask, _, _ in torus_rose.subset_sweep()]
+    assert masks == [0b00, 0b01, 0b11, 0b10]
 
 
 def test_sub_ribbon_conventions(torus_grid):
-    faces = torus_grid.subset_counter()
-    assert faces((1 << 9) - 1)[1] == 5
-    assert faces(0)[1] == 4
+    faces = swept(torus_grid)
+    assert faces[(1 << 9) - 1][1] == 5
+    assert faces[0][1] == 4
 
 
 def test_sub_ribbon_boundary_cases_random(random_batch):
     for g in random_batch[:50]:
-        faces = g.subset_counter()
-        assert faces((1 << g.edge_count) - 1)[1] == g.face_count
-        assert faces(0)[1] == g.vertex_count
+        faces = swept(g)
+        assert faces[(1 << g.edge_count) - 1] == (1, g.face_count)
+        assert faces[0] == (g.vertex_count, g.vertex_count)
 
 
 def test_sub_ribbon_rose_single_loop(torus_rose):
     # deleting one loop of the interleaved pair leaves a planar loop: 2 faces
-    faces = torus_rose.subset_counter()
-    assert faces(0b01)[1] == 2
-    assert faces(0b10)[1] == 2
-    assert faces(0b11)[1] == 1
+    faces = swept(torus_rose)
+    assert faces[0b01][1] == 2
+    assert faces[0b10][1] == 2
+    assert faces[0b11][1] == 1
 
 
 def test_sub_ribbon_bridge_column():
@@ -392,4 +396,4 @@ def test_sub_ribbon_matches_full_subgraph(random_batch):
         except InvalidGraphError:
             continue  # disconnected subgraph: no single-graph comparison
         expected = sub.face_count
-        assert g.subset_counter()(mask)[1] == expected
+        assert swept(g)[mask][1] == expected
