@@ -5,22 +5,18 @@ For a connected graph embedded on an orientable surface,
     BRT(x, y, z) = sum over edge subsets H of x^(k(H)-1) y^(n(H)) z^(g(H)),
 
 where k is the component count of the spanning subgraph, n = e - v + k its
-nullity, and g its genus as a ribbon subgraph.  Bridges and trivial loops
-are factored out first: a bridge contributes a factor (1 + x) and a loop
-whose darts are adjacent in its rotation a factor (1 + y), since BRT is
-multiplicative over one-point joins (Bollobás & Riordan, Math. Ann. 2002).
-The subsets of what is left are counted by a transfer: its edges are
-decided absent or present one at a time, and the subsets decided so far
-are grouped by a state, the boundary curves of the ribbon surface they
-span with their components, so each state is carried once with its counts
-(the partition states of Sekine, Imai & Tani, ISAAC 1995, extended to
-ribbon faces).  :func:`brt_by_sweep` is the oracle: it visits every
-subset of the whole graph in Gray-code order, one edge toggle and one
-face walk from the last.  The x variable is shifted by one relative to
-the oldest convention, so the Tutte polynomial is T(x, y) =
-BRT(x-1, y-1, 1), which is Whitney's rank polynomial at (x-1, y-1):
-Tutte values need component counts only and come from
-:func:`whitney_rank_polynomial`.
+nullity, and g its genus as a ribbon subgraph.  The subsets are counted by
+a transfer: the edges are decided absent or present one at a time, and the
+subsets decided so far are grouped by a state, the boundary curves of the
+ribbon surface they span with their components, so each state is carried
+once with its counts (the partition states of Sekine, Imai & Tani, ISAAC
+1995, extended to ribbon faces).  A bridge or a loop is decided like any
+other edge.  :func:`brt_by_sweep` is the oracle: it visits every subset of
+the whole graph in Gray-code order, one edge toggle and one face walk from
+the last.  The x variable is shifted by one relative to the oldest
+convention, so the Tutte polynomial is T(x, y) = BRT(x-1, y-1, 1), which
+is Whitney's rank polynomial at (x-1, y-1): Tutte values need component
+counts only and come from :func:`whitney_rank_polynomial`.
 
 Evaluations use exact rational arithmetic throughout, over one common
 denominator; the interesting evaluation point z = 1/4 makes floating
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Mapping
 
 from .embedded import EmbeddedGraph
@@ -112,80 +107,6 @@ class TrivariatePolynomial:
 def _check_cap(m: int, edge_cap: int) -> None:
     if m > edge_cap:
         raise EdgeCapError(f"{m} edges exceeds the enumeration cap {edge_cap}")
-
-
-def _subset_census(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
-    """Count the 2^|E| spanning subsets H by (k(H), |H|, f(H)).
-
-    Bridges and trivial loops are peeled off first (:func:`_peel`), the
-    core's subsets are counted by the transfer (:func:`_transfer`), and the
-    counts are expanded back to ``g``.  A bridge in H adds one edge; a
-    bridge not in H adds a component and a face, since its two sides are
-    then joined at one point in the core.  A trivial loop in H adds an edge
-    and a face (it splits the face of its corner); a loop not in H adds
-    nothing.  Without ``faces`` every loop is trivial and f(H) is reported
-    as 0.  No subset is built on its own: the transfer's work grows with
-    its live states, not with 2^|E|.
-    """
-    core, bridges, loops = _peel(g, faces)
-    out: dict[tuple[int, int, int], int] = {}
-    for (k, e, f), count in _transfer(core, faces).items():
-        for i in range(bridges + 1):  # bridges in H
-            for j in range(loops + 1):  # loops in H
-                key = (k + bridges - i, e + i + j, f + bridges - i + j if faces else 0)
-                out[key] = out.get(key, 0) + count * comb(bridges, i) * comb(loops, j)
-    return out
-
-
-def _peel(g: EmbeddedGraph, faces: bool) -> tuple[EmbeddedGraph, int, int]:
-    """The core left by peeling ``g``, with the numbers of bridges and loops peeled.
-
-    Every bridge is contracted: for its darts a at u and b at w, the merged
-    rotation is u's darts after a, then w's darts after b.  Then, with
-    ``faces``, each loop whose two darts are adjacent in the cyclic rotation
-    of their vertex is deleted, until none is left; without ``faces`` every
-    loop is deleted.  Contracting a bridge or deleting a loop never makes
-    or unmakes a bridge, so bridges are found once, and no bridge becomes a
-    loop.
-    """
-    nv, m = g.vertex_count, g.edge_count
-    alpha = g.alpha
-    home = dict(g.dart_vertex)
-    rotations: list[list[int] | None] = [list(rot) for rot in g.rotations]
-    bridges = [
-        j for j in g.spanning_forest(range(m))
-        if len(g.spanning_forest(i for i in range(m) if i != j)) < nv - 1
-    ]
-    for j in bridges:
-        a, b = g.edge_darts[j]
-        u, w = home[a], home[b]
-        ru, rw = rotations[u], rotations[w]
-        i, k = ru.index(a), rw.index(b)
-        rotations[u] = ru[i + 1:] + ru[:i] + rw[k + 1:] + rw[:k]
-        rotations[w] = None
-        for d in rw:
-            home[d] = u
-    core = []
-    for rot in rotations:
-        if rot is None:  # merged into another vertex
-            continue
-        if faces:
-            # reduce the cyclic dart word: deleting an adjacent loop can
-            # make the loop around it adjacent, on the stack or across the wrap
-            kept: list[int] = []
-            for d in rot:
-                if kept and kept[-1] == alpha[d]:
-                    kept.pop()
-                else:
-                    kept.append(d)
-            while len(kept) > 1 and kept[0] == alpha[kept[-1]]:
-                kept = kept[1:-1]
-        else:
-            kept = [d for d in rot if home[alpha[d]] != home[d]]
-        core.append(tuple(kept))
-    left = {d for rot in core for d in rot}
-    edges = tuple(pair for pair in g.edge_darts if pair[0] in left)
-    return EmbeddedGraph(tuple(core), edges), len(bridges), m - len(bridges) - len(edges)
 
 
 # Live states that one table of the transfer holds.  A larger table is
@@ -455,7 +376,7 @@ def _ribbon_polynomial(
 def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:
     """Count all 2^|E| spanning sub-ribbons of ``g`` by genus, with the transfer."""
     _check_cap(g.edge_count, edge_cap)
-    return _ribbon_polynomial(g, _subset_census(g, faces=True))
+    return _ribbon_polynomial(g, _transfer(g, faces=True))
 
 
 def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
@@ -463,10 +384,9 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
 
     The Gray-code sweep of ``EmbeddedGraph.subset_sweep``, kept as the
     oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests: each
-    subset follows from the last by one edge toggle and one face walk, on
-    the unpeeled graph.  With :func:`_transfer` it shares only the flat
-    census layout k * sk + |H| * se + f, where f <= nv + |H|, and
-    :func:`_unpack`.
+    subset follows from the last by one edge toggle and one face walk.
+    With :func:`_transfer` it shares only the flat census layout
+    k * sk + |H| * se + f, where f <= nv + |H|, and :func:`_unpack`.
     """
     m = g.edge_count
     _check_cap(m, DEFAULT_EDGE_CAP)
@@ -491,7 +411,7 @@ def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) 
     _check_cap(g.edge_count, edge_cap)
     nv = g.vertex_count
     coeffs: dict[tuple[int, int, int], int] = {}
-    for (k, e_sub, _), count in _subset_census(g, faces=False).items():
+    for (k, e_sub, _), count in _transfer(g, faces=False).items():
         coeffs[(k - 1, e_sub - nv + k, 0)] = count
     return TrivariatePolynomial(coeffs)
 

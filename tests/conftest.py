@@ -129,12 +129,12 @@ def random_simple_graph(seed: int, vertices: int, edges: int) -> EmbeddedGraph:
     return EmbeddedGraph(tuple(map(tuple, rotations)), tuple((2 * j, 2 * j + 1) for j in range(edges)))
 
 
-# Of the 26-loop bouquets of seeds 0..399, the one whose core holds the most
-# live states in the BRT transfer: 3740, where the median seed holds 184.
+# Of the 26-loop bouquets of seeds 0..399, the one that holds the most live
+# states in the BRT transfer: 3740, where the median seed holds 170.
 WORST_BOUQUET = (253, 26)
 # Of the simple graphs with V = 8 or 9 and E = 26 of seeds 0..119, the one
-# whose core holds the most: 15255 states in one table unless it is split,
-# where the median draw holds about 5300.
+# that holds the most: 15255 states in one table unless it is split, where
+# the median draw holds about 5250.
 WORST_SIMPLE_GRAPH = (37, 8, 26)
 
 

@@ -23,7 +23,12 @@ from bicolorgame.homology import (
 from bicolorgame.medial import strand_space, trace_medial
 from bicolorgame.oracle import enumerate_classes
 from bicolorgame.representatives import planar_representatives, verify_representatives
-from bicolorgame.selfcheck import check_genus_zero, failed_checks, run_all_checks
+from bicolorgame.selfcheck import (
+    check_dimension_identities,
+    check_genus_zero,
+    failed_checks,
+    run_all_checks,
+)
 
 from test_brt import SQUARE_HANDLES_BRT, TORUS_GRID_BRT
 
@@ -125,9 +130,10 @@ def test_criterion_5_genus_zero_suite(planar_batch):
     assert len(planar_batch) >= 50
     assert all(g.genus == 0 and g.edge_count <= 12 for g in planar_batch)
     for index, g in enumerate(planar_batch):
-        # dual cuts are the cycles, |T(-1,-1)| = 2^bicycle dim, representatives verify
-        plane = check_genus_zero(g)
-        assert plane.ok, f"{plane.name} failed on graph {index}: {plane.detail}"
+        # |T(-1,-1)| = 2^bicycle dim; dual cuts are the cycles, representatives verify
+        for check in (check_dimension_identities, check_genus_zero):
+            result = check(g)
+            assert result.ok, f"{result.name} failed on graph {index}: {result.detail}"
         if g.edge_count <= 10:
             rs = planar_representatives(g)
             census = enumerate_classes(g)

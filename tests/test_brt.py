@@ -113,7 +113,7 @@ def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
 
     # the cap is tested before any subset is enumerated, on every route
     monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_enumeration)
-    monkeypatch.setattr(brt_module, "_subset_census", no_enumeration)
+    monkeypatch.setattr(brt_module, "_transfer", no_enumeration)
     message = "9 edges exceeds the enumeration cap 8"
     for enumerate_subsets in (brt_polynomial, whitney_rank_polynomial):
         with pytest.raises(EdgeCapError, match=message):
@@ -292,70 +292,62 @@ def test_rejects_negative_exponents():
         TrivariatePolynomial({(-1, 0, 0): 1})
 
 
-# -- peeling bridges and trivial loops ---------------------------------------------
+# -- bridges and loops, decided by the transfer like any other edge ----------------
 
 
-def rank_polynomial(g, census):
-    """Whitney's rank polynomial from a census by (k, |H|, 0)."""
-    nv = g.vertex_count
-    return TrivariatePolynomial({(k - 1, e - nv + k, 0): n for (k, e, _), n in census.items()})
-
-
-def test_transfer_matches_sweep_unpeeled(random_batch):
-    # peeling takes most loops and every bridge away from the transfer, so
-    # its loop and bridge steps are checked here on graphs it sees whole
-    graphs = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
-    graphs += [load_fixture("sphere_loop"), load_fixture("sphere_edge"), *random_batch[:60]]
-    for g in graphs:
-        swept = brt_by_sweep(g)
-        assert brt_module._ribbon_polynomial(g, brt_module._transfer(g, faces=True)) == swept
-        assert rank_polynomial(g, brt_module._transfer(g, faces=False)) == swept.specialize_z_one()
-
-
-@pytest.fixture
-def core_sizes(monkeypatch):
-    """Edge counts of the cores counted, in call order."""
-    sizes = []
-    transfer = brt_module._transfer
-
-    def recording_transfer(g, faces):
-        sizes.append(g.edge_count)
-        return transfer(g, faces)
-
-    monkeypatch.setattr(brt_module, "_transfer", recording_transfer)
-    return sizes
-
-
-def peeled_cores(g, sizes):
-    """(core E with faces, core E without), each polynomial checked against the sweep."""
-    sizes.clear()
-    swept = brt_by_sweep(g)
-    assert brt_polynomial(g) == swept
-    assert whitney_rank_polynomial(g) == swept.specialize_z_one()
-    return tuple(sizes)
-
-
-def test_tree_peels_to_a_point(core_sizes):
-    rng = Random(11)
-    pairs = [(rng.randrange(v), v) for v in range(1, 12)]
-    rotations = [[] for _ in range(12)]
-    for j, (u, w) in enumerate(pairs):
-        rotations[u].append(2 * j)
-        rotations[w].append(2 * j + 1)
+def random_tree(rng: Random, vertices: int) -> EmbeddedGraph:
+    """A tree on ``vertices`` vertices, each joined to an earlier one drawn
+    by ``rng``, with shuffled rotations."""
+    rotations: list[list[int]] = [[] for _ in range(vertices)]
+    for v in range(1, vertices):
+        rotations[rng.randrange(v)].append(2 * v - 2)
+        rotations[v].append(2 * v - 1)
     for rot in rotations:
         rng.shuffle(rot)
-    tree = EmbeddedGraph(rotations, [(2 * j, 2 * j + 1) for j in range(11)])
-    for g in (tree, EmbeddedGraph(*DEGENERATE["path"])):
-        assert peeled_cores(g, core_sizes) == (0, 0)
-        m = g.edge_count
-        assert dict(brt_polynomial(g).coeffs) == {(i, 0, 0): comb(m, i) for i in range(m + 1)}
+    return EmbeddedGraph(rotations, [(2 * j, 2 * j + 1) for j in range(vertices - 1)])
 
 
-def test_plane_graph_with_pendant_trees_and_nested_loops(core_sizes):
+def bouquet_with_pendants(seed: int, loops: int, pendants: int) -> EmbeddedGraph:
+    """``random_bouquet(seed, loops)`` with ``pendants`` pendant edges, each
+    to its own leaf, their darts inserted into the rotation by ``Random(seed)``."""
+    rng = Random(seed)
+    rotation = list(random_bouquet(seed, loops).rotations[0])
+    edges = [(2 * j, 2 * j + 1) for j in range(loops + pendants)]
+    for j in range(loops, loops + pendants):
+        rotation.insert(rng.randrange(len(rotation) + 1), 2 * j)
+    leaves = [(2 * j + 1,) for j in range(loops, loops + pendants)]
+    return EmbeddedGraph([rotation, *leaves], edges)
+
+
+def digon_chain_with_pendant_loops(k: int) -> EmbeddedGraph:
+    """``digon_chain(k)`` with an adjacent loop at each vertex, a loop around
+    one digon dart, and a pendant edge from the last vertex to a leaf that
+    carries a loop."""
+    chain = digon_chain(k)
+    rotations = [list(rot) for rot in chain.rotations]
+    edges = list(chain.edge_darts)
+    dart = 4 * k
+    for rot in rotations:
+        rot[:0] = [dart, dart + 1]
+        edges.append((dart, dart + 1))
+        dart += 2
+    rotations[1][2:3] = [dart, rotations[1][2], dart + 1]
+    edges.append((dart, dart + 1))
+    rotations[k].append(dart + 2)
+    rotations.append([dart + 3, dart + 4, dart + 5])
+    edges += [(dart + 2, dart + 3), (dart + 4, dart + 5)]
+    return EmbeddedGraph(rotations, edges)
+
+
+def test_transfer_matches_sweep_on_bridges_and_loops():
+    # bridges, pendant trees, and loops nested around pendant edges and
+    # around other loops, each decided by the transfer like any other edge
+    tree = random_tree(Random(11), 12)
+    path = EmbeddedGraph(*DEGENERATE["path"])
     # a triangle 0-1-2; at vertex 0 two nested loops around a pendant path
     # 0-3-4 whose leaf carries a loop; at vertex 1 an adjacent loop around
     # which a nested loop sits, and a pendant edge to vertex 5
-    g = EmbeddedGraph(
+    plane = EmbeddedGraph(
         [
             [0, 10, 12, 6, 13, 11, 5],
             [1, 20, 14, 15, 21, 22, 2],
@@ -367,46 +359,26 @@ def test_plane_graph_with_pendant_trees_and_nested_loops(core_sizes):
         [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15),
          (16, 17), (20, 21), (22, 23)],
     )
-    assert g.genus == 0
-    assert peeled_cores(g, core_sizes) == (3, 3)
-
-
-def test_pendant_bridge_between_loop_darts_cascades(core_sizes):
+    assert plane.genus == 0
     # loop (0, 1) has the pendant edge 2-3 between its darts, and loop
-    # (4, 5) has that loop and the pendant edge 6-7 between its darts:
-    # each becomes adjacent only once what it encloses is peeled
+    # (4, 5) has that loop and the pendant edge 6-7 between its darts
     cascade = EmbeddedGraph([[4, 0, 2, 1, 5, 6], [3], [7]], [(0, 1), (2, 3), (4, 5), (6, 7)])
-    assert peeled_cores(cascade, core_sizes) == (0, 0)
+    # the same around two interleaved loops
+    interleaved = EmbeddedGraph(
+        [[4, 0, 2, 1, 5, 6, 7, 8, 9], [3]], [(0, 1), (2, 3), (4, 5), (6, 8), (7, 9)]
+    )
+    for g in (tree, path, plane, cascade, interleaved, digon_chain_with_pendant_loops(3)):
+        swept = brt_by_sweep(g)
+        assert brt_polynomial(g) == swept
+        assert whitney_rank_polynomial(g) == swept.specialize_z_one()
+    for g in (tree, path):
+        m = g.edge_count
+        assert dict(brt_polynomial(g).coeffs) == {(i, 0, 0): comb(m, i) for i in range(m + 1)}
     want = {(a, b, 0): comb(2, a) * comb(2, b) for a in range(3) for b in range(3)}
     assert dict(brt_polynomial(cascade).coeffs) == want  # (1+x)^2 (1+y)^2
-    # the same around two interleaved loops, which stay with faces
-    rotation = [4, 0, 2, 1, 5, 6, 7, 8, 9]
-    g = EmbeddedGraph([rotation, [3]], [(0, 1), (2, 3), (4, 5), (6, 8), (7, 9)])
-    assert peeled_cores(g, core_sizes) == (2, 0)
 
 
-def test_digon_chain_with_pendant_loops(core_sizes):
-    k = 3
-    chain = digon_chain(k)
-    rotations = [list(rot) for rot in chain.rotations]
-    edges = list(chain.edge_darts)
-    dart = 4 * k
-    for rot in rotations:  # a trivial loop at each vertex
-        rot[:0] = [dart, dart + 1]
-        edges.append((dart, dart + 1))
-        dart += 2
-    # a loop around one digon dart: not trivial, so it stays with faces
-    rotations[1][2:3] = [dart, rotations[1][2], dart + 1]
-    edges.append((dart, dart + 1))
-    # a pendant edge from the last vertex to a leaf that carries a loop
-    rotations[k].append(dart + 2)
-    rotations.append([dart + 3, dart + 4, dart + 5])
-    edges += [(dart + 2, dart + 3), (dart + 4, dart + 5)]
-    g = EmbeddedGraph(rotations, edges)
-    assert peeled_cores(g, core_sizes) == (2 * k + 1, 2 * k)
-
-
-# The depth-first walk before peeling and leaves, kept as the reference.
+# The depth-first walk that the transfer replaced, kept as the reference.
 
 
 def reference_census(g, faces):
@@ -527,15 +499,13 @@ def draw(make, edges=18):
             return g
 
 
-def test_census_matches_the_reference_walk_at_e18(core_sizes):
+def test_census_matches_the_reference_walk_at_e18():
     rng = Random(17)
     mixed = [draw(lambda: random_embedded_graph(rng, max_vertices=8, max_edges=18)) for _ in range(2)]
     plane = draw(lambda: random_planar_graph(rng, max_edges=18))
     for g in (*mixed, plane):
         for faces in (True, False):
-            assert brt_module._subset_census(g, faces) == reference_census(g, faces)
-    # the draws cover a core left whole with faces, and cores that peel
-    assert core_sizes == [18, 17, 15, 13, 9, 8]
+            assert brt_module._transfer(g, faces) == reference_census(g, faces)
 
 
 def relabelled(g: EmbeddedGraph, rng: Random) -> tuple[EmbeddedGraph, dict[int, int]]:
@@ -571,7 +541,8 @@ def test_relabelling_changes_the_order_but_not_the_polynomials(random_batch):
 
 def test_routes_agree_at_the_edge_cap():
     # 2^26 subsets each: the sum, the strand count and the bicycle count
-    # checked where no sweep reaches, on the worst cores found for the transfer
+    # checked where no sweep reaches, on the worst graphs found for the
+    # transfer and on bridges and pendant edges among loops
     rng = Random(89)
     graphs = [
         digon_chain(13),
@@ -579,6 +550,8 @@ def test_routes_agree_at_the_edge_cap():
         random_bouquet(*WORST_BOUQUET),
         random_simple_graph(*WORST_SIMPLE_GRAPH),
         draw(lambda: random_embedded_graph(rng, max_vertices=12, max_edges=26), edges=26),
+        random_tree(Random(26), 27),
+        bouquet_with_pendants(20, 20, 6),
     ]
     for g in graphs:
         brt = brt_polynomial(g)

@@ -364,7 +364,7 @@ def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
 
 
 def test_brt_and_tutte_at_the_edge_cap_in_bounded_memory(tmp_path):
-    # the core with the most transfer states found, split into parts
+    # the graph with the most transfer states found, split into parts
     resource = pytest.importorskip("resource")
     g = random_simple_graph(*WORST_SIMPLE_GRAPH)
     p = tmp_path / "simple.rot"

@@ -110,11 +110,9 @@ def test_all_checks_run_above_the_enumeration_caps():
         assert details[name]["whitney-specialization"] == over
         assert details[name]["dimension-identities"].endswith(f"; T(-1,-1) {over}")
     plane = details["plane"]["plane-structure"]
-    assert plane.startswith("bicycle dim=") and "T(-1,-1) skipped" in plane
+    assert plane.startswith("bicycle dim=") and "T(-1,-1)" not in plane
     assert "representatives" not in plane
-    assert details["digons-23"]["plane-structure"] == (
-        "bicycle dim=23; T(-1,-1) skipped (46 edges exceeds the enumeration cap 26)"
-    )
+    assert details["digons-23"]["plane-structure"] == "bicycle dim=23"
     for name, g in graphs.items():
         sweep = f"oracle skipped ({g.edge_count} edges exceeds the sweep cap 22)"
         assert details[name]["three-route-count"].endswith(f" {sweep}")
