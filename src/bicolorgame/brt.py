@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .embedded import EmbeddedGraph
 from .errors import EdgeCapError, InternalInvariantError
@@ -189,7 +189,9 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     The edges are decided absent or present in the order of :func:`_order`,
     and a table maps each state to the counts of the decided subsets that
     reach it, in the flat census layout k * sk + |H| * se + f, where k and
-    f count the components and faces already closed.  A state lists the
+    f count the components and faces already closed.  The census holds
+    only the indices reached, so its size follows the counts the states
+    carry, not the (nv + 1) * sk slots of the layout.  A state lists the
     boundary curves of the surface made of the touched vertex discs and
     the present decided edges: each curve is the cyclic sequence of the
     undecided darts along it, from its least dart, with the label of its
@@ -206,7 +208,7 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     nv, m = g.vertex_count, g.edge_count
     order = _order(g)
     dv = g.dart_vertex
-    # census index k * sk + |H| * se + f, with f <= nv + |H|
+    # census index k * sk + |H| * se + f, with f <= nv + |H|, for the indices reached
     se = nv + m + 1 if faces else 1
     sk = (m + 1) * se
     untouched = sum(not rot for rot in g.rotations)
@@ -241,7 +243,7 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
             steps.append((frontier.index(u), frontier.index(w), len(fresh), kept, gone, sk))
             frontier = [frontier[i] for i in kept]
         decide = _decide_blocks
-    census = [0] * ((nv + 1) * sk)
+    census: dict[int, int] = {}
     parts = [(0, {((), ()) if faces else (): {start: 1}})]
     while parts:
         first, table = parts.pop()
@@ -262,8 +264,8 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
             table = out
         for counts in table.values():
             for x, n in counts.items():
-                census[x] += n
-    return _unpack(census, sk, se)
+                census[x] = census.get(x, 0) + n
+    return _unpack(census.items(), sk, se)
 
 
 Curves = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
@@ -343,10 +345,11 @@ def _decide_blocks(
     return out
 
 
-def _unpack(census: list[int], sk: int, se: int) -> dict[tuple[int, int, int], int]:
-    """The nonzero counts of a flat census indexed k * sk + |H| * se + f, by (k, |H|, f)."""
+def _unpack(census: Iterable[tuple[int, int]], sk: int, se: int) -> dict[tuple[int, int, int], int]:
+    """The nonzero counts of (index, count) pairs of a flat census indexed
+    k * sk + |H| * se + f, by (k, |H|, f): the one decoder of both tallies."""
     out: dict[tuple[int, int, int], int] = {}
-    for index, count in enumerate(census):
+    for index, count in census:
         if count:
             k, rest = divmod(index, sk)
             e, f = divmod(rest, se)
@@ -386,7 +389,9 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
     oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests: each
     subset follows from the last by one edge toggle and one face walk.
     With :func:`_transfer` it shares only the flat census layout
-    k * sk + |H| * se + f, where f <= nv + |H|, and :func:`_unpack`.
+    k * sk + |H| * se + f, where f <= nv + |H|, and :func:`_unpack`.  The
+    transfer's census holds only the indices reached; this one is a dense
+    list, which the edge cap bounds and which tallies 2^|E| masks fastest.
     """
     m = g.edge_count
     _check_cap(m, DEFAULT_EDGE_CAP)
@@ -396,7 +401,7 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
     census = [0] * ((nv + 1) * sk)
     for mask, k, f in g.subset_sweep():
         census[k * sk + mask.bit_count() * se + f] += 1
-    return _ribbon_polynomial(g, _unpack(census, sk, se))
+    return _ribbon_polynomial(g, _unpack(enumerate(census), sk, se))
 
 
 def whitney_rank_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> TrivariatePolynomial:

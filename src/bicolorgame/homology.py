@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable
 
 from . import gf2
 from .embedded import EmbeddedGraph
@@ -34,7 +35,7 @@ class TreeCotree:
 
 def tree_cotree(
     g: EmbeddedGraph,
-    tree_edges: tuple[int, ...] | None = None,
+    tree_edges: Iterable[int] | None = None,
     rng: Random | None = None,
 ) -> TreeCotree:
     """Choose T, C and the 2g leftover edges.
@@ -52,8 +53,9 @@ def tree_cotree(
     if rng is not None:
         rng.shuffle(order)
     if tree_edges is not None:
-        tree = sorted(set(int(j) for j in tree_edges))
-        if len(tree) != len(tuple(tree_edges)):
+        supplied = [int(j) for j in tree_edges]
+        tree = sorted(set(supplied))
+        if len(tree) != len(supplied):
             raise ValueError("repeated edge in the supplied spanning tree")
         for j in tree:
             if not 0 <= j < g.edge_count:

@@ -5,9 +5,11 @@ together.  A graph passing all of them has consistent face tracing,
 linear algebra, medial tracing, polynomial enumeration and homology.
 An identity that needs an enumeration is reported as passed and
 "skipped (...)" where the graph is beyond that enumeration's cap: the
-check calls the enumerator and reports the ``EdgeCapError`` it raises,
-so each cap and its message have one owner.  The plane representatives
-need none: one rank verifies them at every size.
+check calls the enumerator, and :func:`_check` turns the
+``EdgeCapError`` it raises into the skip, so each cap and its message
+have one owner and one rule makes a skip of them.  A check that reports
+other legs as well catches the error around its capped leg alone.  The
+plane representatives need none: one rank verifies them at every size.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ Check = Callable[[EmbeddedGraph], CheckResult]
 
 
 def _check(name: str) -> Callable[[Callable[[EmbeddedGraph], Verdict]], Check]:
-    """Name a function's verdict, and fail it on a broken graph instead of raising.
+    """Name a function's verdict: fail it on a broken graph, skip it above a cap.
 
     A graph whose faces break Euler's formula makes ``g.genus`` raise
     :class:`InternalInvariantError` and rebuilding its dual raise
     :class:`InvalidGraphError`; either fails the check, with the error in
-    the detail, so every check still reports.
+    the detail, so every check still reports.  An :class:`EdgeCapError`
+    that escapes the check passes it as "skipped (...)" with the
+    enumerator's own message: this is the one place a cap becomes a skip.
     """
 
     def named(verdict: Callable[[EmbeddedGraph], Verdict]) -> Check:
@@ -60,6 +64,8 @@ def _check(name: str) -> Callable[[Callable[[EmbeddedGraph], Verdict]], Check]:
                 ok, detail = verdict(g)
             except (InternalInvariantError, InvalidGraphError) as exc:
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
+            except EdgeCapError as exc:
+                ok, detail = True, f"skipped ({exc})"
             return CheckResult(name, ok, detail)
 
         return check
@@ -203,20 +209,14 @@ def check_strand_lemma(g: EmbeddedGraph) -> Verdict:
 def check_component_count_identity(g: EmbeddedGraph) -> Verdict:
     if g.edge_count == 0:
         return True, "skipped (edgeless)"
-    try:
-        c_poly = medial_component_count_via_brt(g)
-    except EdgeCapError as exc:
-        return True, f"skipped ({exc})"
+    c_poly = medial_component_count_via_brt(g)
     c_trace = g.derived(trace_medial).count
     return c_poly == c_trace, f"poly={c_poly} trace={c_trace}"
 
 
 @_check("inclusion-chain")
 def check_inclusions(g: EmbeddedGraph) -> Verdict:
-    try:
-        strands = g.derived(strand_basis)
-    except InternalInvariantError as exc:
-        return False, f"no strand space: {exc}"
+    strands = g.derived(strand_basis)
     # strands is a basis, so adding U cap U* raises the rank unless it lies inside
     if gf2.rank(gf2.stack(strands, g.cocycle_intersection)) != strands.nrows:
         return False, "U cap U* not inside the strand space"
@@ -274,10 +274,7 @@ def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
     comparison checks the face counts of ``brt_polynomial``; z = 1 checks
     the component counts of the rank polynomial.
     """
-    try:
-        swept = brt_by_sweep(g)
-    except EdgeCapError as exc:
-        return True, f"skipped ({exc})"
+    swept = brt_by_sweep(g)
     if g.derived(brt_polynomial) != swept:
         return False, "BRT differs from the sweep"
     return swept.specialize_z_one() == g.derived(whitney_rank_polynomial), ""

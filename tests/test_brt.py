@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -27,7 +29,7 @@ from bicolorgame.brt import (
     whitney_rank_polynomial,
 )
 from bicolorgame.cli import main
-from bicolorgame.embedded import EmbeddedGraph
+from bicolorgame.embedded import EmbeddedGraph, format_rotation_system
 from bicolorgame.errors import EdgeCapError
 from bicolorgame.fixtures import fixture_names, fixture_text, load_fixture
 from bicolorgame.medial import trace_medial
@@ -568,3 +570,44 @@ def test_a_table_over_the_state_cap_is_finished_in_parts(monkeypatch, random_bat
     want = [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs]
     monkeypatch.setattr(brt_module, "_STATE_CAP", 1)
     assert [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs] == want
+
+
+def test_transfer_above_the_cap_matches_the_digon_chain_closed_form():
+    # One digon gives x + 2 + y and one-point joins multiply, so a plane
+    # chain of k digons has BRT = (x + 2 + y)^k: the coefficient of x^a y^b
+    # is k! / (a! b! (k - a - b)!) * 2^(k - a - b), and no term has z.
+    k = 80
+    want = {
+        (a, b, 0): factorial(k) // (factorial(a) * factorial(b) * factorial(k - a - b)) << (k - a - b)
+        for a in range(k + 1) for b in range(k + 1 - a)
+    }
+    g = digon_chain(k)
+    assert brt_polynomial(g, edge_cap=2 * k).coeffs == want
+    assert whitney_rank_polynomial(g, edge_cap=2 * k).coeffs == want
+
+
+def test_transfer_above_the_cap_in_bounded_memory(tmp_path):
+    # the census holds only the indices reached: a dense one over
+    # (V + 1)(E + 1)(V + E + 1) slots outgrows 256 MB at E = 400
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "digons.rot"
+    p.write_text(format_rotation_system(digon_chain(200)), encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from bicolorgame.brt import brt_polynomial\n"
+        "from bicolorgame.embedded import parse_rotation_system\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    g = parse_rotation_system(fh.read())\n"
+        "print(brt_polynomial(g, edge_cap=400).evaluate(-2, -2, Fraction(1, 4)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(p)],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-1024:]
+    assert abs(int(proc.stdout)) == 1 << 200

@@ -87,6 +87,13 @@ def test_replayed_tree_choice(square_handles):
     assert tc.leftover_edges == (5, 7)
 
 
+@pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iterator"])
+def test_replayed_tree_from_any_iterable(square_handles, wrap):
+    # the supplied edges are read once, so a one-shot iterator replays too
+    tc = tree_cotree(square_handles, tree_edges=wrap((0, 2, 3, 4, 6)))
+    assert (tc.tree_edges, tc.cotree_edges) == ((0, 2, 3, 4, 6), (1,))
+
+
 def test_fundamental_cycles_replayed_tree(square_handles):
     tc = tree_cotree(square_handles, tree_edges=(0, 2, 3, 4, 6))
     cycles = fundamental_dual_cycles(square_handles, tc)

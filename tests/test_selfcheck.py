@@ -240,7 +240,7 @@ def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypa
     assert failed == {
         "strand-lemma": "strand space has wrong dimension",
         "polynomial-strand-count": "poly=3 trace=4",
-        "inclusion-chain": "no strand space: strand trace vectors are rank deficient",
+        "inclusion-chain": "InternalInvariantError: strand trace vectors are rank deficient",
     }
 
 
