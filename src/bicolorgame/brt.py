@@ -187,7 +187,8 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     """Count the 2^|E| spanning subsets H of ``g`` by (k(H), |H|, f(H)), edge by edge.
 
     The edges are decided absent or present in the order of :func:`_order`,
-    and a table maps each state to the counts of the decided subsets that
+    which both modes read once per graph through ``g.derived``, and a
+    table maps each state to the counts of the decided subsets that
     reach it, in the flat census layout k * sk + |H| * se + f, where k and
     f count the components and faces already closed.  The census holds
     only the indices reached, so its size follows the counts the states
@@ -206,7 +207,7 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     of the touched vertices that still have undecided edges.
     """
     nv, m = g.vertex_count, g.edge_count
-    order = _order(g)
+    order = g.derived(_order)
     dv = g.dart_vertex
     # census index k * sk + |H| * se + f, with f <= nv + |H|, for the indices reached
     se = nv + m + 1 if faces else 1

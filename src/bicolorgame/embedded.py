@@ -145,8 +145,8 @@ class EmbeddedGraph:
 
         The per-graph memo of data that other modules derive from the
         graph (the medial trace and its strand basis, the default
-        tree/co-tree, the polynomials, the space summary and the bicycle
-        basis).
+        tree/co-tree, the transfer's edge order, the polynomials, the
+        space summary and the bicycle basis).
         It lives in the instance ``__dict__`` beside the cached properties,
         keyed by the function object, so a replaced function gets its own
         entry and no graph is kept alive by a module.  An exception is
@@ -199,8 +199,7 @@ class EmbeddedGraph:
         """Orbits of d -> sigma(alpha(d)), indexed by their smallest dart.
 
         A vertex with an empty rotation contributes one (dartless) face;
-        for a valid top-level graph this only happens for the one-vertex
-        graph, but sub-ribbons rely on the same convention.
+        for a valid graph this only happens for the one-vertex graph.
         """
         sigma = self.sigma
         alpha = self.alpha

@@ -127,15 +127,27 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
 
 
 def strand_basis(g: EmbeddedGraph) -> GF2Matrix:
-    """The strand space of ``g``'s medial trace, ranked once per graph when
-    read as ``g.derived(strand_basis)``."""
-    return strand_space(g.derived(trace_medial))
+    """The strand space of ``g``'s medial trace, checked once per graph when
+    read as ``g.derived(strand_basis)``.
+
+    The basis must have full rank (``strand_space``) and each row must be
+    a cycle of ``g``, since the homology image is defined only on cycles;
+    a tracing fault that breaks either raises InternalInvariantError.
+    """
+    basis = strand_space(g.derived(trace_medial))
+    if not all(map(g.is_cycle, basis.rows)):
+        raise InternalInvariantError("a strand vector is not a cycle")
+    return basis
 
 
 def strand_image_matrix(g: EmbeddedGraph, cycles: GF2Matrix) -> tuple[GF2Matrix, GF2Matrix]:
-    """(strand basis, its homology images against ``cycles``); rows correspond pairwise."""
+    """(strand basis, its homology images against ``cycles``); rows correspond pairwise.
+
+    ``strand_basis`` has already checked that its rows are cycles, so each
+    image is the plain parity product with the fundamental cycles.
+    """
     basis = g.derived(strand_basis)
-    images = tuple(homology_image(g, cycles, v) for v in basis.rows)
+    images = tuple(gf2.parities(cycles, v) for v in basis.rows)
     return basis, GF2Matrix(cycles.nrows, images)
 
 

@@ -50,8 +50,6 @@ class MedialComponents:
 def trace_medial(g: EmbeddedGraph) -> MedialComponents:
     """Trace all strands of the medial graph of ``g``."""
     m = g.edge_count
-    if m == 0:
-        return MedialComponents(0, (), ())
     sigma = g.sigma
     sigma_inv = g.sigma_inv
     alpha = g.alpha

@@ -67,16 +67,12 @@ def random_planar_graph(rng: Random, max_edges: int = 12) -> EmbeddedGraph:
         else:
             g = EmbeddedGraph(tuple(tuple(r) for r in rotations), tuple(edge_darts))
             face = rng.choice(g.faces.faces)
-            if not face:
-                # dartless face of the initial vertex: make a planar loop
-                rotations[0].extend((a, b))
-            else:
-                d1, d2 = rng.choice(face), rng.choice(face)
-                # insert right after alpha(d) in the rotation at its vertex
-                for dart, new in ((d1, a), (d2, b)):
-                    partner = g.alpha[dart]
-                    rot = rotations[g.dart_vertex[partner]]
-                    rot.insert(rot.index(partner) + 1, new)
+            d1, d2 = rng.choice(face), rng.choice(face)
+            # insert right after alpha(d) in the rotation at its vertex
+            for dart, new in ((d1, a), (d2, b)):
+                partner = g.alpha[dart]
+                rot = rotations[g.dart_vertex[partner]]
+                rot.insert(rot.index(partner) + 1, new)
         edge_darts.append((a, b))
 
     out = EmbeddedGraph(tuple(tuple(r) for r in rotations), tuple(edge_darts))

@@ -16,10 +16,11 @@ from types import SimpleNamespace
 import pytest
 from conftest import digon_chain, long_decimal, shuffled_torus_grid
 
-from bicolorgame import brt, gf2, homology, medial, selfcheck, spaces
+from bicolorgame import brt, cli, gf2, homology, medial, selfcheck, spaces
 from bicolorgame.brt import TrivariatePolynomial
 from bicolorgame.embedded import FaceSet
-from bicolorgame.fixtures import fixture_names, load_fixture
+from bicolorgame.errors import InternalInvariantError
+from bicolorgame.fixtures import fixture_names, fixture_text, load_fixture
 from bicolorgame.gf2 import GF2Matrix
 from bicolorgame.random_graphs import random_embedded_graph, random_planar_graph
 
@@ -244,32 +245,62 @@ def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypa
     }
 
 
-def test_strand_lemma_fails_on_a_trace_vector_off_the_double_cycles(monkeypatch, torus_grid):
-    # Edge 0 flipped in trace vectors 0 and 1: the sum stays zero, the
-    # crossing counts are untouched and the rank still holds, but vector 0
-    # now meets an endpoint of edge 0 oddly.
-    real = selfcheck.trace_medial
+def _edge_zero_flipped(real):
+    """``real`` with edge 0 flipped in trace vectors 0 and 1.
+
+    The sum stays zero, the crossing counts are untouched and the rank
+    still holds, but vectors 0 and 1 now meet an endpoint of edge 0 oddly.
+    """
 
     def trace_medial(h):
         mc = real(h)
         a, b, *rest = mc.trace_vectors
         return dataclasses.replace(mc, trace_vectors=(a ^ 1, b ^ 1, *rest))
 
+    return trace_medial
+
+
+NOT_A_CYCLE = "a strand vector is not a cycle"
+
+
+def test_strand_lemma_fails_on_a_trace_vector_off_the_double_cycles(monkeypatch, torus_grid):
     assert selfcheck.check_strand_lemma(torus_grid).ok
-    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
+    monkeypatch.setattr(selfcheck, "trace_medial", _edge_zero_flipped(selfcheck.trace_medial))
     result = selfcheck.check_strand_lemma(torus_grid)
     assert (result.ok, result.detail) == (False, "a trace vector is not a bi-directional cycle")
 
 
-def test_inclusions_fail_on_a_strand_row_off_the_double_cycles(monkeypatch, torus_grid):
-    # the one-edge row 1 under the real basis keeps U cap U* inside the span
-    real = selfcheck.strand_basis
-    assert selfcheck.check_inclusions(torus_grid).ok
-    monkeypatch.setattr(
-        selfcheck, "strand_basis", lambda h: gf2.stack(real(h), GF2Matrix(h.edge_count, (1,)))
-    )
-    result = selfcheck.check_inclusions(torus_grid)
-    assert (result.ok, result.detail) == (False, "strand space leaves the double cycle space")
+def test_strand_basis_raises_on_a_strand_vector_off_the_cycles(monkeypatch):
+    # fresh graphs: the strand basis is memoised per graph
+    assert selfcheck.check_inclusions(load_fixture("torus_grid")).ok
+    g = load_fixture("torus_grid")
+    monkeypatch.setattr(homology, "trace_medial", _edge_zero_flipped(homology.trace_medial))
+    with pytest.raises(InternalInvariantError, match=NOT_A_CYCLE):
+        homology.strand_basis(g)
+    result = selfcheck.check_inclusions(g)
+    assert (result.ok, result.detail) == (False, f"InternalInvariantError: {NOT_A_CYCLE}")
+
+
+def test_a_strand_vector_off_the_cycles_fails_checks_and_exits_1(monkeypatch, tmp_path, capsys):
+    # every check still reports, and the CLI ends in its invariant exit code
+    planted = _edge_zero_flipped(medial.trace_medial)
+    monkeypatch.setattr(homology, "trace_medial", planted)
+    monkeypatch.setattr(selfcheck, "trace_medial", planted)
+    results = selfcheck.run_all_checks(load_fixture("torus_grid"))  # fresh: nothing memoised
+    assert len(results) == len(selfcheck.ALL_CHECKS) == 14
+    invariant = f"InternalInvariantError: {NOT_A_CYCLE}"
+    assert {r.name: r.detail for r in selfcheck.failed_checks(results)} == {
+        "three-route-count": invariant,
+        "strand-lemma": "a trace vector is not a bi-directional cycle",
+        "inclusion-chain": invariant,
+        "homology-kernel": invariant,
+        "tree-choice-invariance": invariant,
+    }
+    path = tmp_path / "torus_grid.rot"
+    path.write_text(fixture_text("torus_grid"), encoding="utf-8")
+    for command in (["count", "--method", "homology"], ["homology"]):
+        assert cli.main([*command, str(path)]) == 1
+        assert capsys.readouterr().err == f"invariant failure: {NOT_A_CYCLE}\n"
 
 
 @pytest.mark.parametrize(
@@ -337,7 +368,6 @@ def test_every_check_reports_a_planted_dartless_face(monkeypatch):
         "three-route-count": f"InternalInvariantError: {euler}",
         "strand-lemma": "InvalidGraphError: disconnected graph",
         "polynomial-strand-count": f"InternalInvariantError: {euler}",
-        "inclusion-chain": "InvalidGraphError: disconnected graph",
         "homology-kernel": "InvalidGraphError: disconnected graph",
         "tree-choice-invariance": "InvalidGraphError: disconnected graph",
         "whitney-specialization": f"InternalInvariantError: {euler}",
@@ -370,6 +400,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
     _patch_everywhere(monkeypatch, spaces, "summarize", calls)
     _patch_everywhere(monkeypatch, spaces, "bicycle_space", calls)
     _patch_everywhere(monkeypatch, gf2, "rref", calls)
+    _patch_everywhere(monkeypatch, brt, "_order", calls)
     real_cycles = homology.fundamental_dual_cycles
 
     def cycles(h, tc):
@@ -383,6 +414,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
     assert calls == {
         "brt_polynomial": 1,
         "whitney_rank_polynomial": 1,
+        "_order": 1,  # both transfers share it
         "trace_medial": 2,  # g and its dual
         "tree_cotree": 5,  # the default tree of g and of its dual, and 3 shuffled
         "default strand kernel": 1,
@@ -395,6 +427,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
     assert calls == {
         "brt_polynomial": 1,
         "whitney_rank_polynomial": 1,
+        "_order": 1,
         "trace_medial": 2,  # g and its dual; the representatives read g's
         "tree_cotree": 5,
         "summarize": 1,
