@@ -2,13 +2,17 @@
 
 ``main`` is the one path: it loads the graph, calls the command's
 handler ``handler(g, args) -> (doc, lines, rc)`` and emits the result.
-Handlers neither read files nor print.
+Handlers neither read files nor print.  A handler computes and checks
+everything before it returns; a listing that grows with the graph comes
+back as a generator that only formats, and ``_emit`` writes it row by row.
 
 Exit codes: 0 success, 1 invariant/assertion failure, 2 parse or
-validation error, 3 unsupported operation, 4 enumeration cap exceeded.
+validation error, 3 unsupported operation, 4 enumeration cap exceeded,
+5 out of memory.
 All numeric flags are exact ASCII: naturals are 1 to 18 digits, as in the
 file format, and rationals are written ``p/q`` or ``p``.  A rejected value
-is echoed in at most 40 characters.
+is echoed in at most 40 characters, and any other argument error is cut
+at 300.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NoReturn
 
 from . import brt, gf2, homology, oracle, spaces
 from .embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
@@ -167,11 +171,14 @@ def cmd_count(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
 
 def cmd_medial(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     mc = g.derived(trace_medial)
+    # streamed by _emit from the document or the lines, whichever it writes
     rows = mc.trace_matrix().row_strings()
     doc = {"command": "medial", "components": mc.count, "trace_vectors": rows}
-    lines = [f"components {mc.count}"] + [f"strand {i}: {s}" for i, s in enumerate(rows)]
-    if mc.count == 0:
-        lines.append("(edgeless graph: no strands)")
+    lines = chain(
+        [f"components {mc.count}"],
+        (f"strand {i}: {s}" for i, s in enumerate(rows)),
+        [] if mc.count else ["(edgeless graph: no strands)"],
+    )
     return doc, lines, 0
 
 
@@ -208,6 +215,7 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
     basis, images = homology.strand_image_matrix(g, cycles)
     b = gf2.cancelling(basis, images).nrows
     count = exact_decimal(1 << (2 * g.genus + b))
+    # streamed by _emit from the document or the lines, whichever it writes
     cycle_rows, image_rows = cycles.row_strings(), images.row_strings()
     doc = {
         "command": "homology",
@@ -220,17 +228,16 @@ def cmd_homology(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         "genus": g.genus,
         "class_count": count,
     }
-    lines = [
-        "tree edges      " + " ".join(map(str, tc.tree_edges)),
-        "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
-        "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
-    ]
-    for i, s in enumerate(cycle_rows):
-        lines.append(f"cycle {i}: {s}")
-    for i, s in enumerate(image_rows):
-        lines.append(f"strand image {i}: {s}")
-    lines.append(f"kernel dim b    {b}")
-    lines.append(f"class count     {count} = 2^(2*{g.genus} + {b})")
+    lines = chain(
+        [
+            "tree edges      " + " ".join(map(str, tc.tree_edges)),
+            "co-tree edges   " + " ".join(map(str, tc.cotree_edges)),
+            "leftover edges  " + " ".join(map(str, tc.leftover_edges)),
+        ],
+        (f"cycle {i}: {s}" for i, s in enumerate(cycle_rows)),
+        (f"strand image {i}: {s}" for i, s in enumerate(image_rows)),
+        [f"kernel dim b    {b}", f"class count     {count} = 2^(2*{g.genus} + {b})"],
+    )
     return doc, lines, 0
 
 
@@ -270,10 +277,10 @@ def cmd_bot(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
         matrix = spaces.bot_matrix(g, args.vertex, args.face)
     except (IndexError, ValueError) as exc:
         raise InvalidGraphError(str(exc)) from None
+    # streamed by _emit from the document or the lines, whichever it writes
     rows, rank = matrix.row_strings(), gf2.rank(matrix)
     doc = {"command": "bot", "rows": rows, "rank": rank}
-    lines = rows + [f"rank {rank}"]
-    return doc, lines, 0
+    return doc, chain(rows, [f"rank {rank}"]), 0
 
 
 def cmd_oracle(g: EmbeddedGraph, args: argparse.Namespace) -> Result:
@@ -317,8 +324,16 @@ def cmd_selftest(g: None, args: argparse.Namespace) -> Result:
 # -- wiring -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse echoes a rejected choice or an unrecognized argument whole;
+    this parser, and the subparsers it makes, cut the message short."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(message if len(message) <= 300 else message[:300] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicolorgame",
         description="Count and characterize edge bicoloring classes of embedded graphs.",
     )
@@ -403,6 +418,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("out of memory: the graph is too large for the memory this process may use",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -87,8 +87,11 @@ class GF2Matrix:
             raise ValueError("column count required for an empty matrix")
         return cls(ncols, tuple(rows))
 
-    def row_strings(self) -> list[str]:
-        return [vector_to_string(r, self.ncols) for r in self.rows]
+    def row_strings(self) -> Iterator[str]:
+        """Yield the rows as 0/1 strings, one at a time, so that a long
+        listing can be written without being held whole."""
+        for r in self.rows:
+            yield vector_to_string(r, self.ncols)
 
 
 def stack(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:

@@ -9,10 +9,20 @@ import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import zip_longest
+from random import Random
 from types import SimpleNamespace
 
 import pytest
-from conftest import WORST_SIMPLE_GRAPH, digon_chain, interlaced_bouquet, long_decimal, random_simple_graph
+from conftest import (
+    WORST_SIMPLE_GRAPH,
+    digon_chain,
+    interlaced_bouquet,
+    long_decimal,
+    random_bouquet,
+    random_simple_graph,
+    shuffled_torus_grid,
+)
 
 from bicolorgame import brt, cli, homology, spaces
 from bicolorgame.cli import main
@@ -414,8 +424,9 @@ def test_reps_json_streams_its_colorings_in_bounded_memory(tmp_path):
     assert len(doc["colorings"]) == 1 << 19
 
 
-def _oracle_under_64_mb(rot: str, argv: list[str], out) -> None:
-    """Run one oracle command on ``rot`` under a 64 MB address-space limit."""
+def _cli_under_64_mb(rot: str, argv: list[str], out, rc: int = 0) -> str:
+    """Run one command on ``rot`` under a 64 MB address-space limit with
+    stdout to ``out``; require exit code ``rc`` and return stderr."""
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -426,7 +437,8 @@ def _oracle_under_64_mb(rot: str, argv: list[str], out) -> None:
             [sys.executable, "-m", "bicolorgame.cli", *argv, rot],
             stdout=fh, stderr=subprocess.PIPE, text=True, preexec_fn=limit_memory, timeout=120,
         )
-    assert proc.returncode == 0, proc.stderr[-1024:]
+    assert proc.returncode == rc, proc.stderr[-1024:]
+    return proc.stderr
 
 
 def test_oracle_count_at_the_cap_in_bounded_memory(tmp_path):
@@ -434,7 +446,7 @@ def test_oracle_count_at_the_cap_in_bounded_memory(tmp_path):
     p = tmp_path / "bouquet.rot"
     p.write_text(format_rotation_system(interlaced_bouquet(11)), encoding="utf-8")
     out = tmp_path / "count.txt"
-    _oracle_under_64_mb(str(p), ["count", "--method", "oracle"], out)
+    _cli_under_64_mb(str(p), ["count", "--method", "oracle"], out)
     assert out.read_text(encoding="utf-8") == f"oracle    {1 << 22}\n"
 
 
@@ -443,8 +455,8 @@ def test_oracle_reps_stream_in_bounded_memory(tmp_path):
     p = tmp_path / "bouquet.rot"
     p.write_text(format_rotation_system(interlaced_bouquet(10)), encoding="utf-8")
     text, doc = tmp_path / "reps.txt", tmp_path / "reps.json"
-    _oracle_under_64_mb(str(p), ["oracle", "--reps"], text)
-    _oracle_under_64_mb(str(p), ["oracle", "--reps", "--json"], doc)
+    _cli_under_64_mb(str(p), ["oracle", "--reps"], text)
+    _cli_under_64_mb(str(p), ["oracle", "--reps", "--json"], doc)
     with open(text, encoding="utf-8") as fh:
         assert [next(fh), next(fh), next(fh)] == [
             f"classes    {1 << 20}\n", "orbit size 1\n", "0" * 20 + "\n",
@@ -467,6 +479,64 @@ def test_oracle_reps_stream_in_bounded_memory(tmp_path):
         assert fj.read() == "]}\n"
 
 
+def _text_of(command: str, doc: dict):
+    """The text lines that the ``--json`` document of ``command`` stands for."""
+    if command == "homology":
+        for label, key in (("tree edges      ", "tree_edges"), ("co-tree edges   ", "cotree_edges"),
+                           ("leftover edges  ", "leftover_edges")):
+            yield label + " ".join(map(str, doc[key]))
+        yield from (f"cycle {i}: {s}" for i, s in enumerate(doc["fundamental_cycles"]))
+        yield from (f"strand image {i}: {s}" for i, s in enumerate(doc["strand_images"]))
+        b = doc["kernel_dim"]
+        yield f"kernel dim b    {b}"
+        yield f"class count     {doc['class_count']} = 2^(2*{doc['genus']} + {b})"
+    elif command == "bot":
+        yield from doc["rows"]
+        yield f"rank {doc['rank']}"
+    else:
+        yield f"components {doc['components']}"
+        yield from (f"strand {i}: {s}" for i, s in enumerate(doc["trace_vectors"]))
+
+
+@pytest.mark.parametrize(
+    "command, graph, listing, rows",
+    [
+        # genus 2497: 4994 fundamental cycles of 5000 bits
+        ("homology", lambda: random_bouquet(1, 5000), "fundamental_cycles", 4994),
+        # V + F - 2 = 6270 rows of 6272 bits
+        ("bot", lambda: shuffled_torus_grid(Random(56), 56), "rows", 6270),
+        # c = 3501 trace vectors of 7000 bits
+        ("medial", lambda: digon_chain(3500), "trace_vectors", 3501),
+    ],
+    ids=["homology", "bot", "medial"],
+)
+def test_long_listings_stream_in_bounded_memory(tmp_path, command, graph, listing, rows):
+    # each listing is 24-40 MB: held whole, it overflows 64 MB in either mode
+    p = tmp_path / "graph.rot"
+    p.write_text(format_rotation_system(graph()), encoding="utf-8")
+    text, doc = tmp_path / "out.txt", tmp_path / "out.json"
+    _cli_under_64_mb(str(p), [command], text)
+    _cli_under_64_mb(str(p), [command, "--json"], doc)
+    with open(doc, encoding="utf-8") as fh:
+        document = json.load(fh)
+    assert len(document[listing]) == rows
+    # the document's rows are the text lines, item by item
+    with open(text, encoding="utf-8") as fh:
+        lines = (line.rstrip("\n") for line in fh)
+        assert all(want == line for want, line in zip_longest(_text_of(command, document), lines))
+
+
+def test_out_of_memory_exits_5_with_one_line(tmp_path):
+    # E = 20000: unlimited, count --method direct peaks at 142 MB and info at 287 MB
+    p = tmp_path / "grid.rot"
+    p.write_text(format_rotation_system(shuffled_torus_grid(Random(100), 100)), encoding="utf-8")
+    for argv in (["info"], ["count", "--method", "direct"]):
+        out = tmp_path / "out.txt"
+        err = _cli_under_64_mb(str(p), argv, out, rc=5)
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == ""
+
+
 def test_emit_streams_iterator_fields_as_json_lists():
     listed = {"b": ["x", "y"], "a": 1, "c": {"z": [1], "y": "\u00e9"}, "d": []}
     doc = dict(listed, b=iter(listed["b"]), d=iter(listed["d"]))
@@ -480,6 +550,20 @@ def test_eighteen_digit_index_is_parsed_and_reported_briefly(capsys, paths):
     assert main(["bot", "--vertex", "9" * 18, paths["torus_square_handles"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err) < 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--method", "x" * 5000, None], ["info", None, "x" * 5000]],
+    ids=["choice", "unrecognized"],
+)
+def test_argparse_errors_are_cut_short(capsys, paths, argv):
+    # argparse itself would echo the 5000 characters whole
+    with pytest.raises(SystemExit) as exc:
+        main([paths["torus_square_handles"] if a is None else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1024 and err.endswith("...\n")
 
 
 @pytest.mark.parametrize(

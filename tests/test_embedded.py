@@ -44,7 +44,7 @@ def test_torus_grid_counts(torus_grid):
 
 
 def test_torus_grid_incidence(torus_grid):
-    assert torus_grid.incidence_matrix.row_strings() == TORUS_GRID_INCIDENCE
+    assert list(torus_grid.incidence_matrix.row_strings()) == TORUS_GRID_INCIDENCE
     assert set(torus_grid.dual_incidence_matrix.row_strings()) == TORUS_GRID_DUAL_ROWS
 
 
@@ -53,8 +53,8 @@ def test_square_handles_counts(square_handles):
     assert square_handles.edge_count == 8
     assert square_handles.face_count == 2
     assert square_handles.genus == 1
-    assert square_handles.incidence_matrix.row_strings() == SQUARE_HANDLES_INCIDENCE
-    assert square_handles.dual_incidence_matrix.row_strings() == ["11110000", "11110000"]
+    assert list(square_handles.incidence_matrix.row_strings()) == SQUARE_HANDLES_INCIDENCE
+    assert list(square_handles.dual_incidence_matrix.row_strings()) == ["11110000", "11110000"]
 
 
 def test_two_triangles_is_planar(two_triangles):

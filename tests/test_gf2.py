@@ -41,7 +41,7 @@ def test_rref_identity():
 
 def test_rref_repeated_rows(square_handles):
     red, pivots = gf2.rref(square_handles.dual_incidence_matrix)
-    assert red.row_strings() == ["11110000"]
+    assert list(red.row_strings()) == ["11110000"]
     assert pivots == (0,)
 
 
@@ -157,7 +157,7 @@ def test_vector_string_roundtrip():
 
 def test_from_strings():
     m = GF2Matrix.from_strings(["110", "011"])
-    assert m.row_strings() == ["110", "011"]
+    assert list(m.row_strings()) == ["110", "011"]
     with pytest.raises(ValueError):
         GF2Matrix.from_strings(["10", "011"])
     assert GF2Matrix.from_strings([], ncols=4).nrows == 0

@@ -97,7 +97,7 @@ def test_replayed_tree_from_any_iterable(square_handles, wrap):
 def test_fundamental_cycles_replayed_tree(square_handles):
     tc = tree_cotree(square_handles, tree_edges=(0, 2, 3, 4, 6))
     cycles = fundamental_dual_cycles(square_handles, tc)
-    assert cycles.row_strings() == ["00000100", "00000001"]
+    assert list(cycles.row_strings()) == ["00000100", "00000001"]
 
 
 def test_strand_images_replayed_tree(square_handles):

@@ -24,7 +24,7 @@ def test_component_counts(torus_grid, two_triangles, square_handles):
 
 def test_square_handles_exact_trace_matrix(square_handles):
     mc = trace_medial(square_handles)
-    assert mc.trace_matrix().row_strings() == SQUARE_HANDLES_TRACE
+    assert list(mc.trace_matrix().row_strings()) == SQUARE_HANDLES_TRACE
 
 
 def test_strand_space_dimensions(torus_grid, square_handles):
