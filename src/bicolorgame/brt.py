@@ -109,13 +109,6 @@ def _check_cap(m: int, edge_cap: int) -> None:
         raise EdgeCapError(f"{m} edges exceeds the enumeration cap {edge_cap}")
 
 
-# Live states that one table of the transfer holds.  A larger table is
-# split, and the part set aside waits at its step until the part kept is
-# finished; parts wait in order of step, at most one per step, so at most
-# (|E| + 3) times the cap states are live at once.
-_STATE_CAP = 1 << 12
-
-
 def _order(g: EmbeddedGraph) -> list[int]:
     """The edges of ``g`` in the order :func:`_transfer` decides them.
 
@@ -244,28 +237,22 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
             steps.append((frontier.index(u), frontier.index(w), len(fresh), kept, gone, sk))
             frontier = [frontier[i] for i in kept]
         decide = _decide_blocks
+    table: dict = {((), ()) if faces else (): {start: 1}}
+    for step in steps:
+        out: dict = {}
+        for state, counts in table.items():
+            for key, delta in decide(state, *step):
+                dst = out.get(key)
+                if dst is None:
+                    out[key] = {x + delta: n for x, n in counts.items()}
+                else:
+                    for x, n in counts.items():
+                        dst[x + delta] = dst.get(x + delta, 0) + n
+        table = out
     census: dict[int, int] = {}
-    parts = [(0, {((), ()) if faces else (): {start: 1}})]
-    while parts:
-        first, table = parts.pop()
-        for i in range(first, m):
-            if len(table) > _STATE_CAP:
-                items = list(table.items())
-                parts.append((i, dict(items[_STATE_CAP:])))
-                table = dict(items[:_STATE_CAP])
-            out: dict = {}
-            for state, counts in table.items():
-                for key, delta in decide(state, *steps[i]):
-                    dst = out.get(key)
-                    if dst is None:
-                        out[key] = {x + delta: n for x, n in counts.items()}
-                    else:
-                        for x, n in counts.items():
-                            dst[x + delta] = dst.get(x + delta, 0) + n
-            table = out
-        for counts in table.values():
-            for x, n in counts.items():
-                census[x] = census.get(x, 0) + n
+    for counts in table.values():
+        for x, n in counts.items():
+            census[x] = census.get(x, 0) + n
     return _unpack(census.items(), sk, se)
 
 

@@ -328,6 +328,14 @@ class _Parser(argparse.ArgumentParser):
     """argparse echoes a rejected choice or an unrecognized argument whole;
     this parser, and the subparsers it makes, cut the message short."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a negative number, not an option,
+        # when it matches this private pattern, whose value
+        # r'^-\d+$|^-\d*\.\d+$' is the same in Python 3.10 to 3.13; it
+        # gains -p/q here so that --eval takes a negative fraction
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message: str) -> NoReturn:
         super().error(message if len(message) <= 300 else message[:300] + "...")
 

@@ -133,8 +133,8 @@ def random_simple_graph(seed: int, vertices: int, edges: int) -> EmbeddedGraph:
 # states in the BRT transfer: 3740, where the median seed holds 170.
 WORST_BOUQUET = (253, 26)
 # Of the simple graphs with V = 8 or 9 and E = 26 of seeds 0..119, the one
-# that holds the most: 15255 states in one table unless it is split, where
-# the median draw holds about 5250.
+# that holds the most: 15255 states in one table, where the median draw
+# holds about 5250.
 WORST_SIMPLE_GRAPH = (37, 8, 26)
 
 

@@ -16,6 +16,7 @@ from conftest import (
     interlaced_bouquet,
     random_bouquet,
     random_simple_graph,
+    shuffled_torus_grid,
 )
 
 import bicolorgame.brt as brt_module
@@ -564,12 +565,18 @@ def test_routes_agree_at_the_edge_cap():
         assert abs(tutte_eval(g, -1, -1)) == 1 << spaces.summarize(g).bicycle_dim
 
 
-def test_a_table_over_the_state_cap_is_finished_in_parts(monkeypatch, random_batch):
-    # a cap of one state splits every table with two or more
-    graphs = [interlaced_bouquet(4), digon_chain(4), *random_batch[:40]]
-    want = [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs]
-    monkeypatch.setattr(brt_module, "_STATE_CAP", 1)
-    assert [(brt_polynomial(g), whitney_rank_polynomial(g)) for g in graphs] == want
+def test_transfer_above_the_cap_on_tables_of_many_states():
+    # one table per step above the cap, of up to 5682 BRT states on the
+    # 4x4 torus grid and 23784 rank states on the 5x5 grid
+    g = shuffled_torus_grid(Random(4), 4)
+    p = brt_polynomial(g, edge_cap=32)
+    assert sum(p.coeffs.values()) == 1 << 32
+    assert abs(p.evaluate(-2, -2, Fraction(1, 4))) == 1 << (trace_medial(g).count - 1)
+    assert p.specialize_z_one() == whitney_rank_polynomial(g, edge_cap=32)
+    g = shuffled_torus_grid(Random(5), 5)
+    r = whitney_rank_polynomial(g, edge_cap=50)
+    assert sum(r.coeffs.values()) == 1 << 50
+    assert abs(r.evaluate(-2, -2, 1)) == 1 << spaces.summarize(g).bicycle_dim
 
 
 def test_transfer_above_the_cap_matches_the_digon_chain_closed_form():

@@ -88,6 +88,24 @@ def test_tutte(capsys, paths):
     assert out.strip() == "4"
 
 
+def test_eval_takes_negative_fractions(capsys, paths):
+    # argparse would read -1/4 as an option without the parser's wider
+    # negative-number pattern
+    g = load_fixture("torus_grid")
+    cases = [
+        (["brt", "--eval", "-1/4", "1", "1"], ["-1/4", "1", "1"],
+         brt.brt_polynomial(g).evaluate(Fraction(-1, 4), 1, 1)),
+        (["tutte", "--eval", "-1/3", "-2"], ["-1/3", "-2"], brt.tutte_eval(g, Fraction(-1, 3), -2)),
+    ]
+    assert [value for *_, value in cases] == [Fraction(25203, 64), Fraction(422, 27)]
+    for argv, point, value in cases:
+        assert run(capsys, *argv, paths["torus_grid"]) == (0, f"{value}\n")
+        code, out = run(capsys, *argv, "--json", paths["torus_grid"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["eval_point"], doc["value"]) == (point, str(value))
+
+
 def test_medial(capsys, paths):
     code, out = run(capsys, "medial", paths["torus_square_handles"])
     assert code == 0
@@ -374,7 +392,7 @@ def test_reps_streams_its_lines_in_bounded_memory(tmp_path):
 
 
 def test_brt_and_tutte_at_the_edge_cap_in_bounded_memory(tmp_path):
-    # the graph with the most transfer states found, split into parts
+    # the graph with the most transfer states found, 15255 in one table
     resource = pytest.importorskip("resource")
     g = random_simple_graph(*WORST_SIMPLE_GRAPH)
     p = tmp_path / "simple.rot"

@@ -117,3 +117,26 @@ def test_cli_file_commands_end_in_a_documented_exit_code(tmp_path_factory, data,
     assert len(err.getvalue()) < 1024
     if rc >= 2:  # an error leaves no half-written listing behind
         assert out.getvalue() == ""
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(fixture_names()),
+    argv=st.one_of(
+        st.tuples(st.just("brt"), _RATIONAL, _RATIONAL, _RATIONAL),
+        st.tuples(st.just("tutte"), _RATIONAL, _RATIONAL),
+    ),
+    cap=_NATURAL,
+    json=st.booleans(),
+)
+def test_well_formed_eval_and_cap_values_are_never_rejected(tmp_path_factory, name, argv, cap, json):
+    # negative fractions included: argparse must not read -p/q as an option
+    path = tmp_path_factory.getbasetemp() / "fuzz-eval.rot"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    command, *point = argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main([command, "--eval", *point, "--cap", cap, *["--json"] * json, str(path)])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 4)
