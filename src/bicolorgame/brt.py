@@ -25,6 +25,7 @@ point unacceptable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -37,12 +38,16 @@ DEFAULT_EDGE_CAP = 26
 
 @dataclass(frozen=True)
 class TrivariatePolynomial:
-    """Integer polynomial in x, y, z keyed by exponent triples (a, b, c)."""
+    """Integer polynomial in x, y, z keyed by exponent triples (a, b, c).
+
+    A coefficient that is not an integer (a ``str`` or ``float``) raises
+    ``TypeError``; zero coefficients are dropped.
+    """
 
     coeffs: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self) -> None:
-        clean = {k: int(v) for k, v in self.coeffs.items() if v}
+        clean = {k: operator.index(v) for k, v in self.coeffs.items() if v}
         for a, b, c in clean:
             if a < 0 or b < 0 or c < 0:
                 raise ValueError("negative exponent")
@@ -373,22 +378,136 @@ def brt_polynomial(g: EmbeddedGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Trivar
 def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
     """The BRT polynomial from every subset of the whole graph, one at a time.
 
-    The Gray-code sweep of ``EmbeddedGraph.subset_sweep``, kept as the
-    oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests: each
-    subset follows from the last by one edge toggle and one face walk.
-    With :func:`_transfer` it shares only the flat census layout
-    k * sk + |H| * se + f, where f <= nv + |H|, and :func:`_unpack`.  The
-    transfer's census holds only the indices reached; this one is a dense
-    list, which the edge cap bounds and which tallies 2^|E| masks fastest.
+    The oracle for :func:`brt_polynomial` in ``selfcheck`` and the tests.
+    It visits all 2^E edge subsets H in reflected Gray-code order: step i
+    toggles edge ``(i & -i).bit_length() - 1``, so every mask comes once,
+    one edge away from the last.  It keeps the census index
+    k(H) * sk + |H| * se + f(H) of :func:`_transfer`, where f <= nv + |H|,
+    and moves it by se per toggled edge, by 1 per face split or merge and
+    by sk per component change.  k(H) counts the components of the
+    spanning subgraph (all vertices kept) and f(H) its faces as a ribbon
+    subgraph, with one face per isolated vertex, so the sweep opens at
+    (k, |H|, f) = (V, 0, V).  A face is an orbit of
+    phi_H(d) = sigma_H(alpha(d)), where sigma_H, the rotation successor
+    among the present darts, is kept as a doubly linked list.  Each step
+    applies one of two local rules of orientable ribbon graphs
+    (Bollobás & Riordan, Math. Ann. 2002; Ellis-Monaghan & Moffatt,
+    Graphs on Surfaces, 2013):
+
+    * Adding e = (a, b): a enters the corner before the first present
+      dart after it in its rotation, found by walking the rotation
+      successor from a, and likewise b.  At a vertex with no present dart
+      the corner is that vertex's own face.  If both corners lie on one
+      phi_H-orbit, that face splits: f + 1 and k is unchanged.  Otherwise
+      two faces merge: f - 1, and k - 1 exactly when a search over H's
+      present edges finds the endpoints in different components (at once
+      when an endpoint was isolated).
+    * Removing e: walk the phi_H-orbit from a.  If it meets b, one face
+      lies on both sides of e and splits: f + 1, and k + 1 exactly when
+      the endpoints are disconnected in H - e.  Otherwise f - 1 and k is
+      unchanged: an edge between two faces is no bridge.
+
+    A step costs one face walk, two corner walks when it adds, and, where
+    k may change, one search of a component.  With :func:`_transfer` it
+    shares only the census layout and :func:`_unpack`.  The transfer's
+    census holds only the indices reached; this one is a dense list,
+    which the edge cap bounds and which tallies 2^E masks fastest.
     """
-    m = g.edge_count
-    _check_cap(m, DEFAULT_EDGE_CAP)
-    nv = g.vertex_count
+    _check_cap(g.edge_count, DEFAULT_EDGE_CAP)
+    m, nv = g.edge_count, g.vertex_count
     se = nv + m + 1
     sk = (m + 1) * se
     census = [0] * ((nv + 1) * sk)
-    for mask, k, f in g.subset_sweep():
-        census[k * sk + mask.bit_count() * se + f] += 1
+    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
+    bit = [1 << g.dart_edge[d] for d in index_of]
+    alpha = [index_of[g.alpha[d]] for d in index_of]
+    sigma = [index_of[g.sigma[d]] for d in index_of]
+    succ = list(range(len(bit)))  # sigma_H, and its inverse
+    pred = list(range(len(bit)))
+    dv = g.dart_vertex
+    # per vertex, the bit and far end of each incident non-loop edge
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    edges = []
+    for j, (da, db) in enumerate(g.edge_darts):
+        u, w = dv[da], dv[db]
+        if u != w:
+            neighbours[u].append((1 << j, w))
+            neighbours[w].append((1 << j, u))
+        edges.append((1 << j, u, w, index_of[da], index_of[db]))
+
+    def joined(u: int, w: int, mask: int) -> bool:
+        seen = 1 << u
+        stack = [u]
+        while stack:
+            for edge_bit, x in neighbours[stack.pop()]:
+                if edge_bit & mask and not seen >> x & 1:
+                    if x == w:
+                        return True
+                    seen |= 1 << x
+                    stack.append(x)
+        return False
+
+    mask = 0
+    at = nv * sk + nv
+    census[at] = 1
+    for step in range(1, 1 << m):
+        ebit, u, w, a, b = edges[(step & -step).bit_length() - 1]
+        if mask & ebit:
+            mask ^= ebit
+            at -= se
+            x = succ[b]
+            while x != a and x != b:
+                x = succ[alpha[x]]
+            if x == b:
+                at += 1
+                if u != w and (succ[a] == a or succ[b] == b or not joined(u, w, mask)):
+                    at += sk
+            else:
+                at -= 1
+            for x in (a, b):
+                p, s = pred[x], succ[x]
+                succ[p] = s
+                pred[s] = p
+        else:
+            # the first present dart after a, or a itself when none is
+            s = sigma[a]
+            while s != a and not bit[s] & mask:
+                s = sigma[s]
+            t = sigma[b]
+            while t != b and not bit[t] & mask:
+                t = sigma[t]
+            if s == a or t == b:
+                # an isolated endpoint's own face meets the other corner's
+                # face only when e is a loop there
+                at += 1 if u == w else -1 - sk
+            else:
+                x = s
+                while x != t:
+                    x = succ[alpha[x]]
+                    if x == s:
+                        break
+                if x == t:
+                    at += 1
+                else:
+                    at -= 1
+                    if u != w and not joined(u, w, mask):
+                        at -= sk
+            mask |= ebit
+            at += se
+            if u == w:
+                # b's corner again, now that a is in the rotation
+                t = sigma[b]
+                while not bit[t] & mask:
+                    t = sigma[t]
+            for x, s in ((a, s), (b, t)):
+                if s == x:
+                    succ[x] = pred[x] = x
+                else:
+                    p = pred[s]
+                    succ[p] = pred[s] = x
+                    pred[x] = p
+                    succ[x] = s
+        census[at] += 1
     return _ribbon_polynomial(g, _unpack(enumerate(census), sk, se))
 
 

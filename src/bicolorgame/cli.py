@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Any, Iterable, Iterator, NoReturn
 
 from . import brt, gf2, homology, oracle, spaces
-from .embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
+from .embedded import _NATURAL, EmbeddedGraph, format_rotation_system, parse_rotation_system
 from .errors import (
     EdgeCapError,
     InternalInvariantError,
@@ -39,8 +39,7 @@ from .representatives import planar_representatives, verify_representatives
 from .selfcheck import failed_checks, run_all_checks
 from .spaces import exact_decimal
 
-# [0-9], not \d or int(): those also take the digits of other scripts
-_NATURAL = re.compile(r"[0-9]{1,18}")
+# [0-9] for the reason given at embedded._NATURAL, which naturals here use
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 # compact, sorted JSON; one encoder serves every value

@@ -23,11 +23,12 @@ index j is GF(2) coordinate j throughout the package.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from . import gf2
 from .errors import InternalInvariantError, InvalidGraphError, RotationParseError
@@ -58,7 +59,8 @@ class EmbeddedGraph:
 
     ``rotations[i]`` is the ccw cyclic dart order at vertex i and
     ``edge_darts[j]`` the dart pair of edge j.  Construction validates the
-    structure and raises :class:`InvalidGraphError` on any defect.
+    structure and raises :class:`InvalidGraphError` on any defect, and
+    ``TypeError`` on a dart that is not an integer (a ``str`` or ``float``).
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -66,10 +68,10 @@ class EmbeddedGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "rotations", tuple(tuple(map(int, rot)) for rot in self.rotations)
+            self, "rotations", tuple(tuple(map(operator.index, rot)) for rot in self.rotations)
         )
         object.__setattr__(
-            self, "edge_darts", tuple((int(a), int(b)) for a, b in self.edge_darts)
+            self, "edge_darts", tuple((operator.index(a), operator.index(b)) for a, b in self.edge_darts)
         )
         self._validate()
 
@@ -310,143 +312,11 @@ class EmbeddedGraph:
             rest ^= low
         return 1 not in parity
 
-    # -- spanning sub-ribbons ------------------------------------------------
-
-    def subset_sweep(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (mask, k(H), f(H)) for all 2^E edge subsets H, in Gray-code order.
-
-        k(H) counts connected components of the spanning subgraph (all
-        vertices kept) and f(H) its faces as a ribbon subgraph, with one
-        face per isolated vertex, so the sweep opens with (0, V, V).  Step
-        i toggles edge ``(i & -i).bit_length() - 1``: every mask comes
-        once, one edge away from the last.  A face is an orbit of
-        phi_H(d) = sigma_H(alpha(d)), where sigma_H, the rotation successor
-        among the present darts, is kept as a doubly linked list.  Each
-        step applies one of two local rules of orientable ribbon graphs
-        (Ellis-Monaghan & Moffatt, Graphs on Surfaces, 2013):
-
-        * Adding e = (a, b): a enters the corner before the first present
-          dart after it in its rotation, found by a scan of the rotation
-          written out twice, and likewise b.  At a vertex with no present
-          dart the corner is that vertex's own face.  If both corners lie
-          on one phi_H-orbit, that face splits: f + 1 and k is unchanged.
-          Otherwise two faces merge: f - 1, and k - 1 exactly when a
-          search over H's present edges finds the endpoints in different
-          components (at once when an endpoint was isolated).
-        * Removing e: walk the phi_H-orbit from a.  If it meets b, one
-          face lies on both sides of e and splits: f + 1, and k + 1
-          exactly when the endpoints are disconnected in H - e.  Otherwise
-          f - 1 and k is unchanged: an edge between two faces is no bridge.
-
-        A step costs one face walk, two corner scans when it adds, and,
-        where k may change, one search of a component.
-        """
-        m = self.edge_count
-        nv = self.vertex_count
-        index_of = {d: i for i, d in enumerate(sorted(self.alpha))}
-        bit = [1 << self.dart_edge[d] for d in index_of]
-        alpha = [index_of[self.alpha[d]] for d in index_of]
-        ring: list[int] = []
-        after = [0] * len(bit)  # ring position just after the dart's first copy
-        for rot in self.rotations:
-            for i, d in enumerate(rot):
-                after[index_of[d]] = len(ring) + i + 1
-            ring += [index_of[d] for d in rot] * 2
-        ring_bit = [bit[x] for x in ring]
-        succ = list(range(len(bit)))  # sigma_H, and its inverse
-        pred = list(range(len(bit)))
-        dv = self.dart_vertex
-        # per vertex, the bit and far end of each incident non-loop edge
-        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-        edges = []
-        for j, (da, db) in enumerate(self.edge_darts):
-            u, w = dv[da], dv[db]
-            if u != w:
-                neighbours[u].append((1 << j, w))
-                neighbours[w].append((1 << j, u))
-            a, b = index_of[da], index_of[db]
-            # a dart's corner scan ends before the dart's second copy
-            edges.append((1 << j, u, w, a, b, after[a], after[a] + len(self.rotations[u]) - 1,
-                          after[b], after[b] + len(self.rotations[w]) - 1))
-
-        def joined(u: int, w: int, mask: int) -> bool:
-            seen = 1 << u
-            stack = [u]
-            while stack:
-                for edge_bit, x in neighbours[stack.pop()]:
-                    if edge_bit & mask and not seen >> x & 1:
-                        if x == w:
-                            return True
-                        seen |= 1 << x
-                        stack.append(x)
-            return False
-
-        mask, k, f = 0, nv, nv
-        yield mask, k, f
-        for step in range(1, 1 << m):
-            ebit, u, w, a, b, i, a_end, j, b_end = edges[(step & -step).bit_length() - 1]
-            if mask & ebit:
-                mask ^= ebit
-                x = succ[b]
-                while x != a and x != b:
-                    x = succ[alpha[x]]
-                if x == b:
-                    f += 1
-                    if u != w and (succ[a] == a or succ[b] == b or not joined(u, w, mask)):
-                        k += 1
-                else:
-                    f -= 1
-                for x in (a, b):
-                    p, s = pred[x], succ[x]
-                    succ[p] = s
-                    pred[s] = p
-            else:
-                while i < a_end and not ring_bit[i] & mask:
-                    i += 1
-                while j < b_end and not ring_bit[j] & mask:
-                    j += 1
-                if i == a_end or j == b_end:
-                    # an isolated endpoint's own face meets the other corner's
-                    # face only when e is a loop there
-                    if u == w:
-                        f += 1
-                    else:
-                        f -= 1
-                        k -= 1
-                else:
-                    start = x = ring[i]
-                    stop = ring[j]
-                    while x != stop:
-                        x = succ[alpha[x]]
-                        if x == start:
-                            break
-                    if x == stop:
-                        f += 1
-                    else:
-                        f -= 1
-                        if u != w and not joined(u, w, mask):
-                            k -= 1
-                mask |= ebit
-                if u == w:
-                    # b's corner again, now that a is in the rotation
-                    j = after[b]
-                    while not ring_bit[j] & mask:
-                        j += 1
-                for x, at, end in ((a, i, a_end), (b, j, b_end)):
-                    if at == end:
-                        succ[x] = pred[x] = x
-                    else:
-                        s = ring[at]
-                        p = pred[s]
-                        succ[p] = pred[s] = x
-                        pred[x] = p
-                        succ[x] = s
-            yield mask, k, f
-
 
 # -- text format -------------------------------------------------------------
 
-# At most 18 digits: a larger count, index or dart could not fit in memory
+# [0-9], not \d or int(): those also take the digits of other scripts.  At
+# most 18 digits: a larger count, index or dart could not fit in memory
 # anyway, and int() never sees a long token.  A dart may carry a sign so
 # that validation can name a negative dart.  A line's darts are checked
 # at once, joined by single spaces: one match instead of one per dart.

@@ -19,6 +19,7 @@ int as wide as the row, which CPython hashes in a pass over its words.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -57,13 +58,16 @@ def vector_to_string(v: int, length: int) -> str:
 
 @dataclass(frozen=True)
 class GF2Matrix:
-    """Matrix over GF(2); ``rows[i]`` is an int bitset with bit j = entry (i, j)."""
+    """Matrix over GF(2); ``rows[i]`` is an int bitset with bit j = entry (i, j).
+
+    A row that is not an integer (a ``str`` or ``float``) raises ``TypeError``.
+    """
 
     ncols: int
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
         if self.ncols < 0:
             raise ValueError("negative column count")
         for r in self.rows:

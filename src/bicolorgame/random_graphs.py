@@ -5,6 +5,7 @@ from __future__ import annotations
 from random import Random
 
 from .embedded import EmbeddedGraph
+from .errors import InternalInvariantError
 
 
 def random_embedded_graph(
@@ -76,5 +77,6 @@ def random_planar_graph(rng: Random, max_edges: int = 12) -> EmbeddedGraph:
         edge_darts.append((a, b))
 
     out = EmbeddedGraph(tuple(tuple(r) for r in rotations), tuple(edge_darts))
-    assert out.genus == 0, "planar growth produced positive genus"
+    if out.genus != 0:
+        raise InternalInvariantError("planar growth produced positive genus")
     return out

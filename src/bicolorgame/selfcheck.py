@@ -258,8 +258,9 @@ def check_bot_rank(g: EmbeddedGraph) -> Verdict:
 def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
     """Both transfer counts against the Gray-code sweep of every subset.
 
-    ``brt_by_sweep`` updates each subset's components and faces from the
-    last subset's, sharing no code with the transfer.  The three-variable
+    ``brt_by_sweep`` moves each subset's census index (components, edges
+    and faces) on from the last subset's; with the transfer it shares only
+    the census layout and its decoding.  The three-variable
     comparison checks the face counts of ``brt_polynomial``; z = 1 checks
     the component counts of the rank polynomial.
     """

@@ -115,15 +115,17 @@ def test_edge_cap(monkeypatch, torus_grid, tmp_path, capsys):
         raise AssertionError("enumerated past the cap")
 
     # the cap is tested before any subset is enumerated, on every route
-    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_enumeration)
+    monkeypatch.setattr(brt_module, "brt_by_sweep", no_enumeration)
     monkeypatch.setattr(brt_module, "_transfer", no_enumeration)
     message = "9 edges exceeds the enumeration cap 8"
     for enumerate_subsets in (brt_polynomial, whitney_rank_polynomial):
         with pytest.raises(EdgeCapError, match=message):
             enumerate_subsets(torus_grid, edge_cap=8)
-    # the sweep oracle takes no cap: it always checks the default one
+    # the sweep oracle takes no cap: it always checks the default one,
+    # before it reads the darts
     with monkeypatch.context() as m, pytest.raises(EdgeCapError, match=message):
         m.setattr(brt_module, "DEFAULT_EDGE_CAP", 8)
+        m.setattr(EmbeddedGraph, "alpha", property(no_enumeration))
         brt_by_sweep(torus_grid)
     path = tmp_path / "torus_grid.rot"
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
@@ -152,7 +154,7 @@ def test_z_one_specialization_matches_rank_oracle(random_batch, planar_batch):
     # the transfer's BRT must equal the Gray-code sweep in all three
     # variables, and the rank polynomial must equal the sweep at z = 1;
     # at E = 20 the bouquet's one vertex of degree 40 gives the sweep its
-    # longest corner scans, and the genus-5 draw on 5 vertices its
+    # longest corner walks, and the genus-5 draw on 5 vertices its
     # component searches
     degenerate = [EmbeddedGraph(rot, darts) for rot, darts in DEGENERATE.values()]
     fixtures = [load_fixture(name) for name in fixture_names()]
@@ -257,10 +259,10 @@ def test_evaluate_over_one_denominator_matches_the_fraction_sum(torus_grid):
 def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
     want = brt_polynomial(torus_grid).evaluate(Fraction(-2), Fraction(-2), Fraction(1))
 
-    def no_face_tracing(self):
+    def no_face_tracing(g):
         raise AssertionError("tutte_eval traced sub-ribbon faces")
 
-    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_face_tracing)
+    monkeypatch.setattr(brt_module, "brt_by_sweep", no_face_tracing)
     assert tutte_eval(torus_grid, -1, -1) == want
     path = tmp_path / "torus_grid.rot"
     path.write_text(fixture_text("torus_grid"), encoding="utf-8")
@@ -269,10 +271,10 @@ def test_tutte_traces_no_faces(monkeypatch, torus_grid, tmp_path, capsys):
 
 
 def test_brt_traces_no_per_subset_faces(monkeypatch, torus_grid, tmp_path, capsys):
-    def no_face_tracing(self):
+    def no_face_tracing(g):
         raise AssertionError("a subset's faces were re-traced")
 
-    monkeypatch.setattr(EmbeddedGraph, "subset_sweep", no_face_tracing)
+    monkeypatch.setattr(brt_module, "brt_by_sweep", no_face_tracing)
     assert dict(brt_polynomial(torus_grid).coeffs) == TORUS_GRID_BRT
     assert medial_component_count_via_brt(torus_grid) == 3
     path = tmp_path / "torus_grid.rot"
@@ -293,6 +295,14 @@ def test_polynomial_string():
 def test_rejects_negative_exponents():
     with pytest.raises(ValueError):
         TrivariatePolynomial({(-1, 0, 0): 1})
+
+
+def test_coefficients_must_be_integers():
+    # int() would keep 2.5 as 2
+    for coeff in (2.5, "2"):
+        with pytest.raises(TypeError):
+            TrivariatePolynomial({(0, 0, 0): coeff})
+    assert TrivariatePolynomial({(0, 0, 0): True}).coeffs == {(0, 0, 0): 1}
 
 
 # -- bridges and loops, decided by the transfer like any other edge ----------------
@@ -370,7 +380,11 @@ def test_transfer_matches_sweep_on_bridges_and_loops():
     interleaved = EmbeddedGraph(
         [[4, 0, 2, 1, 5, 6, 7, 8, 9], [3]], [(0, 1), (2, 3), (4, 5), (6, 8), (7, 9)]
     )
-    for g in (tree, path, plane, cascade, interleaved, digon_chain_with_pendant_loops(3)):
+    # the bouquets' loops reach the sweep's second corner walk, and the
+    # simple graphs its component searches
+    draws = [random_bouquet(s, 12) for s in range(40)]
+    draws += [random_simple_graph(s, 7, 14) for s in range(40)]
+    for g in (tree, path, plane, cascade, interleaved, digon_chain_with_pendant_loops(3), *draws):
         swept = brt_by_sweep(g)
         assert brt_polynomial(g) == swept
         assert whitney_rank_polynomial(g) == swept.specialize_z_one()
@@ -379,6 +393,106 @@ def test_transfer_matches_sweep_on_bridges_and_loops():
         assert dict(brt_polynomial(g).coeffs) == {(i, 0, 0): comb(m, i) for i in range(m + 1)}
     want = {(a, b, 0): comb(2, a) * comb(2, b) for a in range(3) for b in range(3)}
     assert dict(brt_polynomial(cascade).coeffs) == want  # (1+x)^2 (1+y)^2
+
+
+# The counter that the Gray-code sweep replaced, kept as its reference.
+
+
+def reference_subset_counter(g):
+    """Reference: the counter that rebuilds sigma_H and re-traces every dart, per mask."""
+    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
+    alpha_ix = [index_of[g.alpha[d]] for d in index_of]
+    edge_ix = [g.dart_edge[d] for d in index_of]
+    rot_ix = [[index_of[d] for d in rot] for rot in g.rotations]
+    endpoints = [g.edge_endpoints(j) for j in range(g.edge_count)]
+    nv = g.vertex_count
+    nd = len(alpha_ix)
+    sigma_sub = [0] * nd
+    seen = [0] * nd
+    parent = list(range(nv))
+    stamp = 0
+
+    def count(mask: int) -> tuple[int, int]:
+        nonlocal stamp
+        stamp += 1
+        # component count via union-find over all vertices
+        parent[:] = range(nv)
+        k = nv
+        for j, (u, w) in enumerate(endpoints):
+            if not (mask >> j) & 1:
+                continue
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if u != w:
+                parent[u] = w
+                k -= 1
+        # restricted rotation successor and isolated-vertex faces
+        faces = 0
+        for rot in rot_ix:
+            first = -1
+            prev = -1
+            for d in rot:
+                if (mask >> edge_ix[d]) & 1:
+                    if first < 0:
+                        first = d
+                    else:
+                        sigma_sub[prev] = d
+                    prev = d
+            if first < 0:
+                faces += 1
+            else:
+                sigma_sub[prev] = first
+        # face orbits of d -> sigma_sub(alpha(d)) over present darts
+        for start in range(nd):
+            if not (mask >> edge_ix[start]) & 1 or seen[start] == stamp:
+                continue
+            d = start
+            while seen[d] != stamp:
+                seen[d] = stamp
+                d = sigma_sub[alpha_ix[d]]
+            faces += 1
+        return k, faces
+
+    return count
+
+
+def sweep_census(g):
+    """The sweep's subset counts by (k, |H|, f), read back from its polynomial.
+
+    A term x^a y^b z^c counts the subsets with k = a + 1 components,
+    |H| = b + V - k edges and f = 2k - V + |H| - 2c faces.
+    """
+    nv = g.vertex_count
+    census = {}
+    for (a, b, c), count in brt_by_sweep(g).coeffs.items():
+        k = a + 1
+        e = b + nv - k
+        census[(k, e, 2 * k - nv + e - 2 * c)] = count
+    return census
+
+
+def test_sweep_matches_the_reference_counter(random_batch, torus_grid):
+    # the census equals the counts rebuilt from scratch for every mask; a
+    # face split or merge, or a component count, carried wrong from one
+    # subset to the next would show in it
+    graphs = [g for g in random_batch if g.edge_count <= 10]
+    graphs += [load_fixture(name) for name in fixture_names()]
+    for g in graphs:
+        reference = reference_subset_counter(g)
+        census: dict[tuple[int, int, int], int] = {}
+        for mask in range(1 << g.edge_count):
+            k, f = reference(mask)
+            key = (k, mask.bit_count(), f)
+            census[key] = census.get(key, 0) + 1
+        assert sweep_census(g) == census
+    # the empty subset's four isolated vertices each count one face (x^3),
+    # and the whole graph is one component with its five faces (y^6 z)
+    coeffs = brt_by_sweep(torus_grid).coeffs
+    assert coeffs[(3, 0, 0)] == coeffs[(0, 6, 1)] == 1
 
 
 # The depth-first walk that the transfer replaced, kept as the reference.

@@ -12,6 +12,8 @@ from bicolorgame.errors import InvalidGraphError, RotationParseError
 from bicolorgame.fixtures import fixture_names, load_fixture
 from bicolorgame.medial import trace_medial
 
+from test_brt import reference_subset_counter, sweep_census
+
 # expected incidence data for the torus fixtures, frozen as regression values
 TORUS_GRID_INCIDENCE = [
     "110010101",
@@ -101,6 +103,15 @@ def test_validation_errors():
         EmbeddedGraph(((0, 1), (2, 3)), ((0, 1), (2, 3)))
     with pytest.raises(InvalidGraphError, match="disconnected"):
         EmbeddedGraph(((0,), (1,), ()), ((0, 1),))  # an isolated vertex
+
+
+def test_darts_must_be_integers():
+    # int() would truncate 1.7 to dart 1, or read a string dart
+    with pytest.raises(TypeError):
+        EmbeddedGraph(((0.0, 1.7),), ((0, 1),))
+    with pytest.raises(TypeError):
+        EmbeddedGraph(((0, 1),), (("0", "1"),))
+    assert EmbeddedGraph(((False, True),), ((0, 1),)).rotations == ((0, 1),)
 
 
 def test_spanning_forest_follows_the_order():
@@ -262,115 +273,17 @@ def test_is_cycle_is_orthogonality_to_the_incidence_rows(random_batch):
                     h.is_cycle(u)
 
 
-def reference_subset_counter(g):
-    """Reference: the counter that rebuilds sigma_H and re-traces every dart, per mask."""
-    index_of = {d: i for i, d in enumerate(sorted(g.alpha))}
-    alpha_ix = [index_of[g.alpha[d]] for d in index_of]
-    edge_ix = [g.dart_edge[d] for d in index_of]
-    rot_ix = [[index_of[d] for d in rot] for rot in g.rotations]
-    endpoints = [g.edge_endpoints(j) for j in range(g.edge_count)]
-    nv = g.vertex_count
-    nd = len(alpha_ix)
-    sigma_sub = [0] * nd
-    seen = [0] * nd
-    parent = list(range(nv))
-    stamp = 0
-
-    def count(mask: int) -> tuple[int, int]:
-        nonlocal stamp
-        stamp += 1
-        # component count via union-find over all vertices
-        parent[:] = range(nv)
-        k = nv
-        for j, (u, w) in enumerate(endpoints):
-            if not (mask >> j) & 1:
-                continue
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[w] != w:
-                parent[w] = parent[parent[w]]
-                w = parent[w]
-            if u != w:
-                parent[u] = w
-                k -= 1
-        # restricted rotation successor and isolated-vertex faces
-        faces = 0
-        for rot in rot_ix:
-            first = -1
-            prev = -1
-            for d in rot:
-                if (mask >> edge_ix[d]) & 1:
-                    if first < 0:
-                        first = d
-                    else:
-                        sigma_sub[prev] = d
-                    prev = d
-            if first < 0:
-                faces += 1
-            else:
-                sigma_sub[prev] = first
-        # face orbits of d -> sigma_sub(alpha(d)) over present darts
-        for start in range(nd):
-            if not (mask >> edge_ix[start]) & 1 or seen[start] == stamp:
-                continue
-            d = start
-            while seen[d] != stamp:
-                seen[d] = stamp
-                d = sigma_sub[alpha_ix[d]]
-            faces += 1
-        return k, faces
-
-    return count
-
-
-def swept(g):
-    """The sweep's (k, f) by mask, each mask checked to come exactly once."""
-    out = {}
-    for mask, k, f in g.subset_sweep():
-        assert mask not in out
-        out[mask] = (k, f)
-    assert sorted(out) == list(range(1 << g.edge_count))
-    return out
-
-
-def test_subset_sweep_matches_the_reference(random_batch):
-    # every mask once, each (k, f) as rebuilt from scratch; a face split or
-    # merge, or a component count, carried wrong from one step to the next
-    # would show at the next mask
-    graphs = [g for g in random_batch if g.edge_count <= 10]
-    graphs += [load_fixture(name) for name in fixture_names()]
-    for g in graphs:
-        reference = reference_subset_counter(g)
-        for mask, counts in swept(g).items():
-            assert counts == reference(mask)
-
-
-def test_subset_sweep_order(torus_rose):
-    # reflected Gray code: step i toggles edge (i & -i).bit_length() - 1
-    masks = [mask for mask, _, _ in torus_rose.subset_sweep()]
-    assert masks == [0b00, 0b01, 0b11, 0b10]
-
-
-def test_sub_ribbon_conventions(torus_grid):
-    faces = swept(torus_grid)
-    assert faces[(1 << 9) - 1][1] == 5
-    assert faces[0][1] == 4
-
-
 def test_sub_ribbon_boundary_cases_random(random_batch):
+    # the empty and the full subset are the only ones of their size
     for g in random_batch[:50]:
-        faces = swept(g)
-        assert faces[(1 << g.edge_count) - 1] == (1, g.face_count)
-        assert faces[0] == (g.vertex_count, g.vertex_count)
+        census = sweep_census(g)
+        assert census[(1, g.edge_count, g.face_count)] == 1
+        assert census[(g.vertex_count, 0, g.vertex_count)] == 1
 
 
 def test_sub_ribbon_rose_single_loop(torus_rose):
     # deleting one loop of the interleaved pair leaves a planar loop: 2 faces
-    faces = swept(torus_rose)
-    assert faces[0b01][1] == 2
-    assert faces[0b10][1] == 2
-    assert faces[0b11][1] == 1
+    assert sweep_census(torus_rose) == {(1, 0, 1): 1, (1, 1, 2): 2, (1, 2, 1): 1}
 
 
 def test_sub_ribbon_bridge_column():
@@ -381,7 +294,8 @@ def test_sub_ribbon_bridge_column():
 
 def test_sub_ribbon_matches_full_subgraph(random_batch):
     # re-embedding the chosen subgraph as its own rotation system gives the
-    # same face count, whenever the subgraph happens to be connected
+    # reference counter's face count, whenever the subgraph happens to be
+    # connected; the sweep oracle is checked against that counter
     rng = Random(99)
     for g in random_batch[:25]:
         if g.edge_count == 0:
@@ -396,4 +310,4 @@ def test_sub_ribbon_matches_full_subgraph(random_batch):
         except InvalidGraphError:
             continue  # disconnected subgraph: no single-graph comparison
         expected = sub.face_count
-        assert swept(g)[mask][1] == expected
+        assert reference_subset_counter(g)(mask)[1] == expected

@@ -168,6 +168,14 @@ def test_matrix_rejects_out_of_range_rows():
         GF2Matrix(2, (0b100,))
 
 
+def test_matrix_rows_must_be_integers():
+    # int() would read "101" as decimal 101, the row 1010011
+    for row in ("101", 5.0):
+        with pytest.raises(TypeError):
+            GF2Matrix(7, (row,))
+    assert GF2Matrix(2, (True, 2)).rows == (1, 2)
+
+
 # -- the elimination kernel against the column sweep it replaced ------------------
 
 

@@ -84,3 +84,16 @@ def test_derived_data_is_kept_on_the_graph_not_in_module_caches():
     assert uses == len(decorated), "a cache made other than by decorating a function"
     assert globals_ == []
     assert module_memos == [], "an empty module-level container, a cache in the making"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so an invariant the package checks must raise
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
