@@ -475,26 +475,6 @@ def sweep_census(g):
     return census
 
 
-def test_sweep_matches_the_reference_counter(random_batch, torus_grid):
-    # the census equals the counts rebuilt from scratch for every mask; a
-    # face split or merge, or a component count, carried wrong from one
-    # subset to the next would show in it
-    graphs = [g for g in random_batch if g.edge_count <= 10]
-    graphs += [load_fixture(name) for name in fixture_names()]
-    for g in graphs:
-        reference = reference_subset_counter(g)
-        census: dict[tuple[int, int, int], int] = {}
-        for mask in range(1 << g.edge_count):
-            k, f = reference(mask)
-            key = (k, mask.bit_count(), f)
-            census[key] = census.get(key, 0) + 1
-        assert sweep_census(g) == census
-    # the empty subset's four isolated vertices each count one face (x^3),
-    # and the whole graph is one component with its five faces (y^6 z)
-    coeffs = brt_by_sweep(torus_grid).coeffs
-    assert coeffs[(3, 0, 0)] == coeffs[(0, 6, 1)] == 1
-
-
 # The depth-first walk that the transfer replaced, kept as the reference.
 
 

@@ -273,6 +273,30 @@ def test_is_cycle_is_orthogonality_to_the_incidence_rows(random_batch):
                     h.is_cycle(u)
 
 
+def test_subset_sweep_matches_the_reference(random_batch):
+    # the sweep's census equals the counts rebuilt from scratch for every
+    # mask; a face split or merge, or a component count, carried wrong from
+    # one subset to the next would show in it
+    graphs = [g for g in random_batch if g.edge_count <= 10]
+    graphs += [load_fixture(name) for name in fixture_names()]
+    for g in graphs:
+        reference = reference_subset_counter(g)
+        census: dict[tuple[int, int, int], int] = {}
+        for mask in range(1 << g.edge_count):
+            k, f = reference(mask)
+            key = (k, mask.bit_count(), f)
+            census[key] = census.get(key, 0) + 1
+        assert sweep_census(g) == census
+
+
+def test_sub_ribbon_conventions(torus_grid):
+    # the empty subset's four isolated vertices each count one face, and the
+    # whole graph is one component with its five faces
+    census = sweep_census(torus_grid)
+    assert census[(4, 0, 4)] == 1
+    assert census[(1, 9, 5)] == 1
+
+
 def test_sub_ribbon_boundary_cases_random(random_batch):
     # the empty and the full subset are the only ones of their size
     for g in random_batch[:50]:
