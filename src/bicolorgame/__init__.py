@@ -35,10 +35,11 @@ from .homology import (
     class_count_homology,
     fundamental_dual_cycles,
     homology_image,
+    strand_basis,
     strand_kernel_basis,
     tree_cotree,
 )
-from .medial import MedialComponents, strand_space, trace_medial
+from .medial import MedialComponents, trace_medial
 from .oracle import OrbitCensus, enumerate_classes
 from .representatives import RepresentativeSet, planar_representatives, verify_representatives
 from .spaces import (
@@ -91,8 +92,8 @@ __all__ = [
     "planar_representatives",
     "same_class",
     "signature_basis",
+    "strand_basis",
     "strand_kernel_basis",
-    "strand_space",
     "summarize",
     "trace_medial",
     "tree_cotree",

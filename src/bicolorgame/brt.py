@@ -40,14 +40,15 @@ DEFAULT_EDGE_CAP = 26
 class TrivariatePolynomial:
     """Integer polynomial in x, y, z keyed by exponent triples (a, b, c).
 
-    A coefficient that is not an integer (a ``str`` or ``float``) raises
-    ``TypeError``; zero coefficients are dropped.
+    An exponent or coefficient that is not an integer (a ``str`` or
+    ``float``) raises ``TypeError``; zero coefficients are dropped.
     """
 
     coeffs: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self) -> None:
-        clean = {k: operator.index(v) for k, v in self.coeffs.items() if v}
+        index = operator.index
+        clean = {tuple(map(index, k)): index(v) for k, v in self.coeffs.items() if v}
         for a, b, c in clean:
             if a < 0 or b < 0 or c < 0:
                 raise ValueError("negative exponent")

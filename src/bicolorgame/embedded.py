@@ -148,7 +148,8 @@ class EmbeddedGraph:
         The per-graph memo of data that other modules derive from the
         graph (the medial trace and its strand basis, the default
         tree/co-tree, the transfer's edge order, the polynomials, the
-        space summary and the bicycle basis).
+        class exponent, the space summary, and the cycle and bicycle
+        bases).
         It lives in the instance ``__dict__`` beside the cached properties,
         keyed by the function object, so a replaced function gets its own
         entry and no graph is kept alive by a module.  An exception is

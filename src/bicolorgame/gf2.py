@@ -60,13 +60,15 @@ def vector_to_string(v: int, length: int) -> str:
 class GF2Matrix:
     """Matrix over GF(2); ``rows[i]`` is an int bitset with bit j = entry (i, j).
 
-    A row that is not an integer (a ``str`` or ``float``) raises ``TypeError``.
+    A column count or row that is not an integer (a ``str`` or ``float``)
+    raises ``TypeError``.
     """
 
     ncols: int
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ncols", operator.index(self.ncols))
         object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
         if self.ncols < 0:
             raise ValueError("negative column count")

@@ -13,6 +13,7 @@ b yields the class count 2^(2g + b).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable
@@ -21,7 +22,7 @@ from . import gf2
 from .embedded import EmbeddedGraph
 from .errors import InternalInvariantError
 from .gf2 import GF2Matrix
-from .medial import strand_space, trace_medial
+from .medial import trace_medial
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def tree_cotree(
     if rng is not None:
         rng.shuffle(order)
     if tree_edges is not None:
-        supplied = [int(j) for j in tree_edges]
+        supplied = list(map(operator.index, tree_edges))
         tree = sorted(set(supplied))
         if len(tree) != len(supplied):
             raise ValueError("repeated edge in the supplied spanning tree")
@@ -127,14 +128,18 @@ def homology_image(g: EmbeddedGraph, cycles: GF2Matrix, u: int) -> int:
 
 
 def strand_basis(g: EmbeddedGraph) -> GF2Matrix:
-    """The strand space of ``g``'s medial trace, checked once per graph when
-    read as ``g.derived(strand_basis)``.
+    """The first c - 1 trace vectors of ``g``'s medial trace, checked once
+    per graph when read as ``g.derived(strand_basis)``.
 
-    The basis must have full rank (``strand_space``) and each row must be
-    a cycle of ``g``, since the homology image is defined only on cycles;
-    a tracing fault that breaks either raises InternalInvariantError.
+    Any strand's vector is the sum of all the others, so these rows span
+    the strand space and must be independent; each must also be a cycle
+    of ``g``, since the homology image is defined only on cycles.  A
+    tracing fault that breaks either raises InternalInvariantError, the
+    rank first.  The rows stay in trace order: this is not an RREF basis.
     """
-    basis = strand_space(g.derived(trace_medial))
+    basis = GF2Matrix(g.edge_count, g.derived(trace_medial).trace_vectors[:-1])
+    if gf2.rank(basis) != basis.nrows:
+        raise InternalInvariantError("strand trace vectors are rank deficient")
     if not all(map(g.is_cycle, basis.rows)):
         raise InternalInvariantError("a strand vector is not a cycle")
     return basis

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gf2
 from .embedded import EmbeddedGraph
 from .errors import InternalInvariantError
 from .gf2 import GF2Matrix
@@ -82,15 +81,3 @@ def trace_medial(g: EmbeddedGraph) -> MedialComponents:
             vectors.append(int.from_bytes(odd, "little"))
     return MedialComponents(m, tuple(vectors), tuple(crossings))
 
-
-def strand_space(mc: MedialComponents) -> GF2Matrix:
-    """The space spanned by the trace vectors, with its canonical basis.
-
-    Any strand's vector is the sum of all the others, so the first
-    count-1 vectors form a basis; rank deficiency signals a tracing bug.
-    """
-    basis = mc.trace_vectors[:-1]
-    out = GF2Matrix(mc.edge_count, basis)
-    if gf2.rank(out) != len(basis):
-        raise InternalInvariantError("strand trace vectors are rank deficient")
-    return out

@@ -188,11 +188,11 @@ def check_strand_lemma(g: EmbeddedGraph) -> Verdict:
     for j in range(g.edge_count):
         if mc.crossings[j] != 2:
             return False, f"edge {j} not crossed exactly twice"
-    if gf2.rank(mc.trace_matrix()) != mc.count - 1:
-        return False, "strand space has wrong dimension"
-    # one parity walk per vector at g's vertices, then at the dual's (g's faces)
-    d = g.dual()
-    if not all(g.is_cycle(v) and d.is_cycle(v) for v in mc.trace_vectors):
+    # The basis checks that the first c - 1 vectors are independent cycles of
+    # g; with the zero sum that covers all c at g's vertices, so only the
+    # faces are walked here.
+    g.derived(strand_basis)
+    if not all(map(g.dual().is_cycle, mc.trace_vectors)):
         return False, "a trace vector is not a bi-directional cycle"
     return True, f"c={mc.count}"
 
@@ -247,7 +247,7 @@ def check_bot_rank(g: EmbeddedGraph) -> Verdict:
     for family, mat in (("vertex", g.incidence_matrix), ("face", g.dual_incidence_matrix)):
         if _xor_sum(mat.rows):
             return False, f"{family} rows do not sum to zero"
-    want = gf2.rank(spaces.moves_matrix(g))
+    want = g.edge_count - g.derived(spaces.class_exponent)
     f = spaces.incident_faces(g, 0)[0]
     if gf2.rank(spaces.bot_matrix(g, 0, f)) != want:
         return False, f"pair (v=0, f={f})"
@@ -274,7 +274,7 @@ def check_rank_oracle(g: EmbeddedGraph) -> Verdict:
 def check_genus_zero(g: EmbeddedGraph) -> Verdict:
     if g.genus != 0:
         return True, "skipped (genus > 0)"
-    if not gf2.row_space_equal(g.dual_incidence_matrix, spaces.cycle_space(g)):
+    if not gf2.row_space_equal(g.dual_incidence_matrix, g.derived(spaces.cycle_space)):
         return False, "dual cut space differs from cycle space"
     if not verify_representatives(g, planar_representatives(g)):
         return False, "representatives failed verification"

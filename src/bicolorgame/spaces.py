@@ -46,7 +46,7 @@ def cycle_space(g: EmbeddedGraph) -> GF2Matrix:
 
 def bicycle_space(g: EmbeddedGraph) -> GF2Matrix:
     """Basis of the bicycle space, the intersection of cut and cycle space."""
-    return gf2.row_space_intersection_basis(g.incidence_matrix, cycle_space(g))
+    return gf2.row_space_intersection_basis(g.incidence_matrix, g.derived(cycle_space))
 
 
 # Every caller asks for one graph's moves several times in a row, so one
@@ -106,13 +106,17 @@ def apply_face_move(g: EmbeddedGraph, w: int, face: int) -> int:
 
 
 def class_exponent(g: EmbeddedGraph) -> int:
-    """log2 of the class count: the codimension of U + U*."""
+    """log2 of the class count: the codimension of U + U*.
+
+    The one rank of ``moves_matrix``; every other reader of rank(U + U*)
+    takes it from ``g.derived(class_exponent)``.
+    """
     return g.edge_count - gf2.rank(moves_matrix(g))
 
 
 def class_count_direct(g: EmbeddedGraph) -> int:
     """Number of equivalence classes, counted by linear algebra alone."""
-    return 1 << class_exponent(g)
+    return 1 << g.derived(class_exponent)
 
 
 def same_class(g: EmbeddedGraph, w1: int, w2: int) -> bool:
@@ -173,7 +177,7 @@ def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = N
 def summarize(g: EmbeddedGraph) -> SpaceSummary:
     dim_u = gf2.rank(g.incidence_matrix)
     dim_us = gf2.rank(g.dual_incidence_matrix)
-    dim_sum = gf2.rank(moves_matrix(g))
+    dim_sum = g.edge_count - g.derived(class_exponent)
     return SpaceSummary(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,

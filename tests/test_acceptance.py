@@ -16,11 +16,12 @@ from bicolorgame.fixtures import load_fixture
 from bicolorgame.homology import (
     class_count_homology,
     fundamental_dual_cycles,
+    strand_basis,
     strand_image_matrix,
     strand_kernel_basis,
     tree_cotree,
 )
-from bicolorgame.medial import strand_space, trace_medial
+from bicolorgame.medial import trace_medial
 from bicolorgame.oracle import enumerate_classes
 from bicolorgame.representatives import planar_representatives, verify_representatives
 from bicolorgame.selfcheck import (
@@ -76,7 +77,7 @@ def test_criterion_2_square_handles_fixture():
         "01100011",
         "10010011",
     ]
-    assert strand_space(mc).nrows == 3
+    assert strand_basis(g).nrows == 3
     tc = tree_cotree(g, tree_edges=(0, 2, 3, 4, 6))
     assert tc.cotree_edges == (1,)
     cycles = fundamental_dual_cycles(g, tc)

@@ -305,6 +305,14 @@ def test_coefficients_must_be_integers():
     assert TrivariatePolynomial({(0, 0, 0): True}).coeffs == {(0, 0, 0): 1}
 
 
+def test_exponents_must_be_integers():
+    # 0.5 would be kept and print as x, failing only in evaluate
+    for key in ((0.5, 0, 0), (0, "1", 0), (0, 0, 1.0)):
+        with pytest.raises(TypeError):
+            TrivariatePolynomial({key: 1})
+    assert TrivariatePolynomial({(True, 0, 0): 1}).coeffs == {(1, 0, 0): 1}
+
+
 # -- bridges and loops, decided by the transfer like any other edge ----------------
 
 

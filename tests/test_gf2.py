@@ -176,6 +176,13 @@ def test_matrix_rows_must_be_integers():
     assert GF2Matrix(2, (True, 2)).rows == (1, 2)
 
 
+def test_matrix_column_count_must_be_an_integer():
+    for ncols in (2.5, "2"):
+        with pytest.raises(TypeError):
+            GF2Matrix(ncols, ())
+    assert GF2Matrix(True, (1,)).ncols == 1
+
+
 # -- the elimination kernel against the column sweep it replaced ------------------
 
 

@@ -15,11 +15,12 @@ from bicolorgame.homology import (
     class_count_homology,
     fundamental_dual_cycles,
     homology_image,
+    strand_basis,
     strand_image_matrix,
     strand_kernel_basis,
     tree_cotree,
 )
-from bicolorgame.medial import strand_space, trace_medial
+from bicolorgame.medial import trace_medial
 
 
 def prim_spanning_tree(
@@ -182,6 +183,13 @@ def test_invalid_supplied_tree(square_handles):
         tree_cotree(square_handles, tree_edges=(0, 1, 2, 3, 6))  # contains the square cycle
 
 
+def test_supplied_tree_edges_must_be_integers(torus_grid):
+    # int() would read 0.9, 1.9, 2.9 as the tree (0, 1, 2)
+    for edges in ([0.9, 1.9, 2.9], ["0", "1", "2"]):
+        with pytest.raises(TypeError):
+            tree_cotree(torus_grid, tree_edges=edges)
+
+
 def test_cycles_lie_in_dual_cycle_space(random_batch):
     # Leftover edge j plus co-tree edges, and a cycle of the dual: the
     # co-tree plus j holds exactly one such cycle, so this fixes each row.
@@ -273,7 +281,7 @@ def test_kernel_is_every_strand_combination_with_zero_image(random_batch):
     for g in random_batch:
         cycles = fundamental_dual_cycles(g, tree_cotree(g))
         sums = [(0, 0)]
-        for v in strand_space(trace_medial(g)).rows:
+        for v in strand_basis(g).rows:
             image = homology_image(g, cycles, v)
             sums += [(w ^ v, i ^ image) for w, i in sums]
         kernel = [w for w, i in sums if i == 0]

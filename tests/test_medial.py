@@ -6,7 +6,8 @@ import pytest
 
 from bicolorgame import gf2
 from bicolorgame.fixtures import load_fixture
-from bicolorgame.medial import strand_space, trace_medial
+from bicolorgame.homology import strand_basis
+from bicolorgame.medial import trace_medial
 
 SQUARE_HANDLES_TRACE = [
     "11001100",
@@ -28,15 +29,15 @@ def test_square_handles_exact_trace_matrix(square_handles):
 
 
 def test_strand_space_dimensions(torus_grid, square_handles):
-    assert strand_space(trace_medial(square_handles)).nrows == 3
-    assert strand_space(trace_medial(torus_grid)).nrows == 2
+    assert strand_basis(square_handles).nrows == 3
+    assert strand_basis(torus_grid).nrows == 2
 
 
 def test_single_edge_strand():
     g = load_fixture("sphere_edge")
     mc = trace_medial(g)
     assert mc.count == 1
-    assert strand_space(mc).nrows == 0
+    assert strand_basis(g).nrows == 0
     # the one strand crosses the one edge twice
     assert mc.crossings == (2,)
     assert mc.trace_vectors == (0,)
@@ -64,7 +65,7 @@ def _assert_strand_lemma(g):
     assert mc.crossings == (2,) * g.edge_count
     # the only vanishing combination is the full sum: rank c-1 plus sum zero
     assert gf2.rank(mc.trace_matrix()) == mc.count - 1
-    assert strand_space(mc).nrows == mc.count - 1
+    assert strand_basis(g).nrows == mc.count - 1
     cycles = gf2.kernel_basis(g.incidence_matrix)
     dual_cycles = gf2.kernel_basis(g.dual_incidence_matrix)
     for v in mc.trace_vectors:
@@ -99,4 +100,4 @@ def test_genus_zero_strands_span_bicycles(planar_batch):
     for g in planar_batch:
         if g.edge_count == 0:
             continue
-        assert gf2.row_space_equal(strand_space(trace_medial(g)), spaces.bicycle_space(g))
+        assert gf2.row_space_equal(strand_basis(g), spaces.bicycle_space(g))

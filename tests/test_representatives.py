@@ -8,7 +8,7 @@ from conftest import digon_chain
 from bicolorgame import gf2, spaces
 from bicolorgame.errors import UnsupportedError
 from bicolorgame.fixtures import load_fixture
-from bicolorgame.medial import strand_space, trace_medial
+from bicolorgame.homology import strand_basis
 from bicolorgame.oracle import enumerate_classes
 from bicolorgame.representatives import (
     RepresentativeSet,
@@ -111,7 +111,7 @@ def test_witness_property(two_triangles):
     # the other pivots, and the pivots' characteristic vectors stay
     # outside the move space
     rs = planar_representatives(two_triangles)
-    reduced, pivots = gf2.rref(strand_space(trace_medial(two_triangles)))
+    reduced, pivots = gf2.rref(strand_basis(two_triangles))
     assert pivots == rs.edges
     for i, p in enumerate(pivots):
         for k, row in enumerate(reduced.rows):

@@ -102,7 +102,7 @@ def _strand_dropped(monkeypatch, g):
     return g
 
 
-def _strand_space_emptied(monkeypatch, g):
+def _strand_basis_emptied(monkeypatch, g):
     monkeypatch.setattr(selfcheck, "strand_basis", lambda h: GF2Matrix(h.edge_count))
     return g
 
@@ -165,7 +165,7 @@ MUTATIONS = [
     (selfcheck.check_dimension_identities, "two_triangles", _tutte_doubled),
     (selfcheck.check_component_count_identity, "torus_grid", _polynomial_strand_count_off),
     (selfcheck.check_strand_lemma, "torus_grid", _strand_dropped),
-    (selfcheck.check_inclusions, "torus_grid", _strand_space_emptied),
+    (selfcheck.check_inclusions, "torus_grid", _strand_basis_emptied),
     (selfcheck.check_kernel_subspace, "torus_grid", _strand_kernel_emptied),
     (selfcheck.check_counts_agree, "torus_grid", _homology_count_doubled),
     (selfcheck.check_rank_oracle, "torus_grid", _whitney_shifted),
@@ -205,43 +205,49 @@ def test_strand_lemma_fails_on_an_edge_crossed_three_times(monkeypatch, torus_gr
     assert result.detail == "edge 0 not crossed exactly twice"
 
 
-def test_strand_lemma_reports_rank_deficient_strands(monkeypatch, torus_grid):
-    # (a, b, a, b) sums to zero and crosses every edge twice, but spans only
-    # two dimensions where four strands need three.
-    real = selfcheck.trace_medial
+def _plant_abab(monkeypatch):
+    """Plant the trace (a, b, a, b) wherever a module reads the medial trace.
+
+    It sums to zero and crosses every edge twice, but spans only two
+    dimensions where four strands need three.
+    """
 
     def trace_medial(h):
-        mc = real(h)
+        mc = medial.trace_medial(h)
         a, b = mc.trace_vectors[:2]
         return dataclasses.replace(mc, trace_vectors=(a, b, a, b))
 
-    assert selfcheck.check_strand_lemma(torus_grid).ok
+    monkeypatch.setattr(homology, "trace_medial", trace_medial)
     monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
-    result = selfcheck.check_strand_lemma(torus_grid)
-    assert not result.ok
-    assert result.detail == "strand space has wrong dimension"
 
 
-def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypatch, torus_grid):
-    # The (a, b, a, b) trace above: strand_space raises on it, and the run
-    # must report that as a failed check rather than abort.
-    real = selfcheck.trace_medial
+RANK_DEFICIENT = "InternalInvariantError: strand trace vectors are rank deficient"
 
-    def trace_medial(h):
-        mc = real(h)
-        a, b = mc.trace_vectors[:2]
-        return dataclasses.replace(mc, trace_vectors=(a, b, a, b))
 
-    assert not selfcheck.failed_checks(selfcheck.run_all_checks(torus_grid))
-    monkeypatch.setattr(selfcheck, "trace_medial", trace_medial)
-    monkeypatch.setattr(selfcheck, "strand_basis", lambda h: medial.strand_space(trace_medial(h)))
-    results = selfcheck.run_all_checks(torus_grid)
+def test_strand_lemma_reports_rank_deficient_strands(monkeypatch):
+    # fresh graphs: the strand basis is memoised per graph
+    assert selfcheck.check_strand_lemma(load_fixture("torus_grid")).ok
+    _plant_abab(monkeypatch)
+    result = selfcheck.check_strand_lemma(load_fixture("torus_grid"))
+    assert (result.ok, result.detail) == (False, RANK_DEFICIENT)
+
+
+def test_rank_deficient_strands_fail_checks_instead_of_aborting_the_run(monkeypatch):
+    # The (a, b, a, b) trace above: strand_basis raises on it, every reader
+    # of the basis sees that, and the run must report it as failed checks
+    # rather than abort.
+    assert not selfcheck.failed_checks(selfcheck.run_all_checks(load_fixture("torus_grid")))
+    _plant_abab(monkeypatch)
+    results = selfcheck.run_all_checks(load_fixture("torus_grid"))
     assert len(results) == len(selfcheck.ALL_CHECKS) == 14
     failed = {r.name: r.detail for r in selfcheck.failed_checks(results)}
     assert failed == {
-        "strand-lemma": "strand space has wrong dimension",
+        "three-route-count": RANK_DEFICIENT,
+        "strand-lemma": RANK_DEFICIENT,
         "polynomial-strand-count": "poly=3 trace=4",
-        "inclusion-chain": "InternalInvariantError: strand trace vectors are rank deficient",
+        "inclusion-chain": RANK_DEFICIENT,
+        "homology-kernel": RANK_DEFICIENT,
+        "tree-choice-invariance": RANK_DEFICIENT,
     }
 
 
@@ -291,7 +297,7 @@ def test_a_strand_vector_off_the_cycles_fails_checks_and_exits_1(monkeypatch, tm
     invariant = f"InternalInvariantError: {NOT_A_CYCLE}"
     assert {r.name: r.detail for r in selfcheck.failed_checks(results)} == {
         "three-route-count": invariant,
-        "strand-lemma": "a trace vector is not a bi-directional cycle",
+        "strand-lemma": invariant,
         "inclusion-chain": invariant,
         "homology-kernel": invariant,
         "tree-choice-invariance": invariant,
@@ -420,7 +426,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
         "default strand kernel": 1,
         "summarize": 1,
         "bicycle_space": 1,
-        "rref": 20,
+        "rref": 17,
     }
     calls.clear()
     assert not selfcheck.failed_checks(selfcheck.run_all_checks(load_fixture("plane_two_triangles")))
@@ -432,7 +438,7 @@ def test_all_checks_derive_each_graphs_data_once(monkeypatch):
         "tree_cotree": 5,
         "summarize": 1,
         "bicycle_space": 1,  # summarize's, which the representatives read too
-        "rref": 27,
+        "rref": 23,
     }
 
 
