@@ -128,7 +128,7 @@ def _order(g: EmbeddedGraph) -> list[int]:
     itself, then to the loop with fewer undecided darts between its two on
     the shorter side, then to the lower index.
     """
-    sigma, sigma_inv, dv, de = g.sigma, g.sigma_inv, g.dart_vertex, g.dart_edge
+    sigma, sigma_inv, de = g.sigma, g.sigma_inv, g.dart_edge
     # A run starts at each undecided dart whose predecessor is decided, so
     # deciding edge j raises the run count by rise[j], and lowers rise[k]
     # by one for each rotation neighbour of k's darts that is a dart of j.
@@ -154,8 +154,7 @@ def _order(g: EmbeddedGraph) -> list[int]:
                 if k != j and k not in near[j]:
                     then = min(then, rise[k])
                     break
-            a, b = g.edge_darts[j]
-            u, w = dv[a], dv[b]
+            u, w = g.endpoints[j]
             fresh = (undecided[u] == degree[u]) * degree[u]
             fresh += (w != u and undecided[w] == degree[w]) * degree[w]
             cost = (rise[j] + then, fresh, rise[j])
@@ -163,6 +162,7 @@ def _order(g: EmbeddedGraph) -> list[int]:
                 continue
             span = 0
             if u == w:
+                a, b = g.edge_darts[j]
                 d = sigma[a]
                 while d != b:
                     span += d not in decided
@@ -175,10 +175,10 @@ def _order(g: EmbeddedGraph) -> list[int]:
             if k in rise:
                 rise[k] -= c
         order.append(pick)
-        a, b = g.edge_darts[pick]
-        decided.update((a, b))
-        undecided[dv[a]] -= 1
-        undecided[dv[b]] -= 1
+        decided.update(g.edge_darts[pick])
+        u, w = g.endpoints[pick]
+        undecided[u] -= 1
+        undecided[w] -= 1
     return order
 
 
@@ -207,7 +207,6 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     """
     nv, m = g.vertex_count, g.edge_count
     order = g.derived(_order)
-    dv = g.dart_vertex
     # census index k * sk + |H| * se + f, with f <= nv + |H|, for the indices reached
     se = nv + m + 1 if faces else 1
     sk = (m + 1) * se
@@ -219,7 +218,7 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
         for j in order:
             a, b = g.edge_darts[j]
             fresh = []
-            for v in dict.fromkeys((dv[a], dv[b])):
+            for v in dict.fromkeys(g.endpoints[j]):
                 if v not in touched:
                     touched.add(v)
                     rot = g.rotations[v]
@@ -231,8 +230,7 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
         remaining = [len(rot) for rot in g.rotations]
         frontier: list[int] = []
         for j in order:
-            a, b = g.edge_darts[j]
-            u, w = dv[a], dv[b]
+            u, w = g.endpoints[j]
             fresh = [v for v in dict.fromkeys((u, w)) if v not in touched]
             touched.update(fresh)
             frontier += fresh
@@ -425,12 +423,10 @@ def brt_by_sweep(g: EmbeddedGraph) -> TrivariatePolynomial:
     sigma = [index_of[g.sigma[d]] for d in index_of]
     succ = list(range(len(bit)))  # sigma_H, and its inverse
     pred = list(range(len(bit)))
-    dv = g.dart_vertex
     # per vertex, the bit and far end of each incident non-loop edge
     neighbours: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     edges = []
-    for j, (da, db) in enumerate(g.edge_darts):
-        u, w = dv[da], dv[db]
+    for j, ((da, db), (u, w)) in enumerate(zip(g.edge_darts, g.endpoints)):
         if u != w:
             neighbours[u].append((1 << j, w))
             neighbours[w].append((1 << j, u))

@@ -125,12 +125,10 @@ class EmbeddedGraph:
         """
         parent = list(range(self.vertex_count))
         forest: list[int] = []
-        dv = self.dart_vertex
         for j in order:
             if len(forest) == len(parent) - 1:
                 break
-            a, b = self.edge_darts[j]
-            u, w = dv[a], dv[b]
+            u, w = self.endpoints[j]
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
@@ -166,6 +164,16 @@ class EmbeddedGraph:
         return {d: v for v, rot in enumerate(self.rotations) for d in rot}
 
     @cached_property
+    def endpoints(self) -> tuple[tuple[int, int], ...]:
+        """``endpoints[j]``: the vertices of edge j's two darts, equal for a loop.
+
+        The one place where an edge becomes its vertices.  Its dart map is
+        local, so building it does not fill ``dart_vertex``.
+        """
+        vertex_of = {d: v for v, rot in enumerate(self.rotations) for d in rot}
+        return tuple((vertex_of[a], vertex_of[b]) for a, b in self.edge_darts)
+
+    @cached_property
     def dart_edge(self) -> dict[int, int]:
         return {d: j for j, pair in enumerate(self.edge_darts) for d in pair}
 
@@ -190,10 +198,6 @@ class EmbeddedGraph:
     @cached_property
     def sigma_inv(self) -> dict[int, int]:
         return {v: k for k, v in self.sigma.items()}
-
-    def edge_endpoints(self, j: int) -> tuple[int, int]:
-        a, b = self.edge_darts[j]
-        return self.dart_vertex[a], self.dart_vertex[b]
 
     # -- faces, genus, dual ------------------------------------------------
 
@@ -254,14 +258,13 @@ class EmbeddedGraph:
 
     # -- incidence matrices --------------------------------------------------
 
-    def _incidence(self, end_of_dart: dict[int, int], count: int) -> GF2Matrix:
-        """``count`` rows; edge j lies in the rows of its two darts' ends.
+    def _incidence(self, ends: Iterable[tuple[int, int]], count: int) -> GF2Matrix:
+        """``count`` rows; edge j lies in the rows of its pair of ends.
 
-        An edge whose darts share an end appears there twice and cancels.
+        An edge whose two ends are one row appears there twice and cancels.
         """
         rows = [0] * count
-        for j, (a, b) in enumerate(self.edge_darts):
-            u, w = end_of_dart[a], end_of_dart[b]
+        for j, (u, w) in enumerate(ends):
             if u != w:
                 rows[u] |= 1 << j
                 rows[w] |= 1 << j
@@ -270,7 +273,7 @@ class EmbeddedGraph:
     @cached_property
     def incidence_matrix(self) -> GF2Matrix:
         """Vertex-edge incidence over GF(2); loops contribute zero columns."""
-        return self._incidence(self.dart_vertex, self.vertex_count)
+        return self._incidence(self.endpoints, self.vertex_count)
 
     @cached_property
     def dual_incidence_matrix(self) -> GF2Matrix:
@@ -278,8 +281,10 @@ class EmbeddedGraph:
 
         Entry (f, j) is the parity of how often edge j appears on the
         boundary walk of face f, so bridges traversed twice cancel out.
+        The face pairs are read from the face orbits, not from ``dual()``.
         """
-        return self._incidence(self.faces.face_of_dart, self.face_count)
+        face_of = self.faces.face_of_dart
+        return self._incidence(((face_of[a], face_of[b]) for a, b in self.edge_darts), self.face_count)
 
     @cached_property
     def cocycle_intersection(self) -> GF2Matrix:
@@ -303,13 +308,12 @@ class EmbeddedGraph:
         if u < 0 or u >> self.edge_count:
             raise ValueError("vector length does not match the edge count")
         parity = bytearray(self.vertex_count)
-        vertex_of = self.dart_vertex
         rest = u
         while rest:
             low = rest & -rest
-            a, b = self.edge_darts[low.bit_length() - 1]
-            parity[vertex_of[a]] ^= 1
-            parity[vertex_of[b]] ^= 1
+            v, w = self.endpoints[low.bit_length() - 1]
+            parity[v] ^= 1
+            parity[w] ^= 1
             rest ^= low
         return 1 not in parity
 

@@ -95,7 +95,7 @@ def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> GF2Matrix:
     dual = g.dual()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(dual.vertex_count)]
     for j in tc.cotree_edges:
-        u, w = dual.edge_endpoints(j)
+        u, w = dual.endpoints[j]
         adjacency[u].append((w, j))
         adjacency[w].append((u, j))
     path = [-1] * dual.vertex_count  # -1: not reached yet
@@ -111,7 +111,7 @@ def fundamental_dual_cycles(g: EmbeddedGraph, tc: TreeCotree) -> GF2Matrix:
         raise InternalInvariantError("co-tree does not span the dual graph")
     cycles = []
     for j in tc.leftover_edges:
-        u, w = dual.edge_endpoints(j)
+        u, w = dual.endpoints[j]
         cycles.append((1 << j) ^ path[u] ^ path[w])
     return GF2Matrix(g.edge_count, tuple(cycles))
 

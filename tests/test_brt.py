@@ -412,7 +412,7 @@ def reference_subset_counter(g):
     alpha_ix = [index_of[g.alpha[d]] for d in index_of]
     edge_ix = [g.dart_edge[d] for d in index_of]
     rot_ix = [[index_of[d] for d in rot] for rot in g.rotations]
-    endpoints = [g.edge_endpoints(j) for j in range(g.edge_count)]
+    endpoints = [g.endpoints[j] for j in range(g.edge_count)]
     nv = g.vertex_count
     nd = len(alpha_ix)
     sigma_sub = [0] * nd

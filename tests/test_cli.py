@@ -64,6 +64,20 @@ def test_count_all_agreement(capsys, paths):
     assert "agreement ok" in out
 
 
+def test_count_all_exits_1_when_the_routes_disagree(capsys, paths, monkeypatch):
+    real = homology.class_count_homology
+    monkeypatch.setattr(homology, "class_count_homology", lambda g: 2 * real(g))
+    code, out = run(capsys, "count", "--method", "all", paths["torus_grid"])
+    assert code == 1
+    assert out.endswith("routes disagree\n")
+    code, out = run(capsys, "count", "--method", "all", "--json", paths["torus_grid"])
+    assert code == 1
+    assert out == (
+        '{"agreement":"FAIL","command":"count","direct":"8","homology":"16",'
+        '"method":"all","oracle":"8"}\n'
+    )
+
+
 def test_count_single_method(capsys, paths):
     code, out = run(capsys, "count", "--method", "homology", paths["plane_two_triangles"])
     assert code == 0
@@ -153,6 +167,18 @@ def test_reps_unsupported_genus(capsys, paths):
     assert code == 3
 
 
+def test_reps_above_the_sweep_cap_exits_4(capsys, tmp_path):
+    # plane, E = 46 and c = 24, so b = 23 representative edges
+    path = tmp_path / "digons.rot"
+    path.write_text(format_rotation_system(digon_chain(23)), encoding="utf-8")
+    assert main(["reps", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cap exceeded: 23 representative edges give 2^23 colorings; the cap is 2^22\n"
+    )
+
+
 def test_signature_and_same_class(capsys, paths):
     code, out = run(capsys, "same-class", "--a", "000000000", "--b", "000000000", paths["torus_grid"])
     assert code == 0 and out.strip() == "true"
@@ -168,6 +194,11 @@ def test_bot(capsys, paths):
     assert "rank 6" in out
 
 
+def test_bot_rejects_a_face_away_from_the_vertex(capsys, paths):
+    assert main(["bot", paths["plane_two_triangles"], "--vertex", "0", "--face", "2"]) == 2
+    assert capsys.readouterr().err == "error: face 2 is not incident to vertex 0\n"
+
+
 def test_oracle_command(capsys, paths):
     code, out = run(capsys, "oracle", "--reps", paths["plane_two_triangles"])
     assert code == 0
@@ -176,6 +207,13 @@ def test_oracle_command(capsys, paths):
 
 def test_parse_error_exit_code(capsys, paths):
     assert main(["info", paths["bad"]]) == 2
+
+
+def test_graph_without_vertices_exit_code(capsys, tmp_path):
+    path = tmp_path / "empty.rot"
+    path.write_text("vertices 0\nedges 0\n", encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == "error: graph has no vertices\n"
 
 
 def test_missing_file_exit_code(capsys):

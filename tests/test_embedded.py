@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from bicolorgame import gf2
+from bicolorgame import gf2, homology, selfcheck, spaces
 from bicolorgame.embedded import EmbeddedGraph, format_rotation_system, parse_rotation_system
 from bicolorgame.errors import InvalidGraphError, RotationParseError
 from bicolorgame.fixtures import fixture_names, load_fixture
@@ -231,6 +231,41 @@ def test_dual_involution_all_fixtures():
         assert sorted(dd.incidence_matrix.rows) == sorted(g.incidence_matrix.rows)
         assert d.incidence_matrix.rows == g.dual_incidence_matrix.rows
         assert d.genus == g.genus
+
+
+def test_endpoints_are_the_vertices_of_each_edges_darts(random_batch, planar_batch):
+    # the dual keeps the edge indexing and its vertex i is face i, which the
+    # homology route and the strand lemma rely on
+    fixtures = [load_fixture(name) for name in fixture_names()]
+    for g in random_batch + planar_batch + fixtures:
+        face_of = g.faces.face_of_dart
+        assert len(g.endpoints) == g.edge_count
+        for j, (a, b) in enumerate(g.edge_darts):
+            assert g.endpoints[j] == (g.dart_vertex[a], g.dart_vertex[b])
+            assert g.dual().endpoints[j] == (face_of[a], face_of[b])
+
+
+def test_production_routes_leave_the_dart_vertex_map_unbuilt():
+    for name in fixture_names():
+        g = load_fixture(name)
+        spaces.summarize(g)
+        homology.class_count_homology(g)
+        selfcheck.run_all_checks(g)
+        assert "_dual" in g.__dict__, "the checks build the dual, or this shows nothing of it"
+        for h in (g, g.dual()):
+            assert "dart_vertex" not in h.__dict__, name
+
+
+def test_vertex_and_face_rows_need_no_dual():
+    for name in fixture_names():
+        g = load_fixture(name)
+        w = (1 << g.edge_count) - 1
+        spaces.summarize(g)
+        spaces.class_count_direct(g)
+        spaces.signature_basis(g)
+        spaces.same_class(g, 0, w)
+        assert "dual_incidence_matrix" in g.__dict__, name
+        assert "_dual" not in g.__dict__, name
 
 
 def test_euler_on_random_batch(random_batch):

@@ -52,7 +52,7 @@ def prim_spanning_tree(
 
 
 def endpoints_of(g: EmbeddedGraph) -> list[tuple[int, int]]:
-    return [g.edge_endpoints(j) for j in range(g.edge_count)]
+    return [g.endpoints[j] for j in range(g.edge_count)]
 
 
 def prim_tree_cotree(g: EmbeddedGraph) -> tuple[tuple[int, ...], ...]:
@@ -235,7 +235,7 @@ def test_image_raises_exactly_off_the_cycle_space(random_batch):
     rng = Random(0xC1C)
     for g in random_batch:
         cycles = fundamental_dual_cycles(g, tree_cotree(g))
-        loops = [j for j in range(g.edge_count) if len(set(g.edge_endpoints(j))) == 1]
+        loops = [j for j in range(g.edge_count) if len(set(g.endpoints[j])) == 1]
         kernel = gf2.kernel_basis(g.incidence_matrix).rows
         vectors = [rng.getrandbits(g.edge_count) for _ in range(8)] + list(kernel)
         for v in kernel:

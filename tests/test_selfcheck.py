@@ -112,6 +112,17 @@ def _strand_kernel_emptied(monkeypatch, g):
     return g
 
 
+def _dual_kernel_emptied(monkeypatch, g):
+    # the primal kernel still equals U cap U*, so only the dual leg can tell
+    real = selfcheck.strand_kernel_basis
+
+    def strand_kernel_basis(h, tc=None):
+        return real(h, tc) if h is g else GF2Matrix(h.edge_count)
+
+    monkeypatch.setattr(selfcheck, "strand_kernel_basis", strand_kernel_basis)
+    return g
+
+
 def _homology_count_doubled(monkeypatch, g):
     real = selfcheck.class_count_homology
     monkeypatch.setattr(selfcheck, "class_count_homology", lambda h: 2 * real(h))
@@ -167,6 +178,7 @@ MUTATIONS = [
     (selfcheck.check_strand_lemma, "torus_grid", _strand_dropped),
     (selfcheck.check_inclusions, "torus_grid", _strand_basis_emptied),
     (selfcheck.check_kernel_subspace, "torus_grid", _strand_kernel_emptied),
+    (selfcheck.check_kernel_subspace, "torus_grid", _dual_kernel_emptied),
     (selfcheck.check_counts_agree, "torus_grid", _homology_count_doubled),
     (selfcheck.check_rank_oracle, "torus_grid", _whitney_shifted),
     (selfcheck.check_tree_choice_invariance, "torus_grid", _kernel_dim_depends_on_tree),
@@ -189,6 +201,11 @@ def test_check_fails_on_broken_input(check, fixture, mutate, monkeypatch, reques
     g = request.getfixturevalue(fixture)
     assert check(g).ok, "the unbroken graph must pass, or the mutation shows nothing"
     assert not check(mutate(monkeypatch, g)).ok
+
+
+def test_kernel_subspace_names_its_dual_leg(monkeypatch, torus_grid):
+    result = selfcheck.check_kernel_subspace(_dual_kernel_emptied(monkeypatch, torus_grid))
+    assert (result.ok, result.detail) == (False, "primal and dual kernels differ")
 
 
 def test_strand_lemma_fails_on_an_edge_crossed_three_times(monkeypatch, torus_grid):
