@@ -1,7 +1,14 @@
 """Command-line interface: parse a rotation-system file, run one query.
 
-``main`` is the one path: it loads the graph, calls the command's
-handler ``handler(g, args) -> (doc, lines, rc)`` and emits the result.
+The 13 commands are declared once, in ``COMMANDS``: name, handler, help
+and the specs of their arguments, from which ``build_parser`` adds every
+subparser or just one.  ``main`` parses an argv led by a command name
+with a top parser holding only that command's subparser; any other argv,
+and any argparse error on that path, falls back to the full parser,
+which parses again and prints the usage, help or error itself, so every
+text and exit code is the full parser's and nothing is printed twice.
+``main`` then loads the graph, calls the command's handler
+``handler(g, args) -> (doc, lines, rc)`` and emits the result.
 Handlers neither read files nor print.  A handler computes and checks
 everything before it returns; a listing that grows with the graph comes
 back as a generator that only formats, and ``_emit`` writes it row by row.
@@ -23,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Iterable, Iterator, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 from . import brt, gf2, homology, oracle, spaces
 from .embedded import _NATURAL, EmbeddedGraph, format_rotation_system, parse_rotation_system
@@ -41,6 +48,9 @@ from .spaces import exact_decimal
 
 # [0-9] for the reason given at embedded._NATURAL, which naturals here use
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+# the negative-number pattern of every _Parser, compiled once (see there)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 # compact, sorted JSON; one encoder serves every value
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -333,81 +343,124 @@ class _Parser(argparse.ArgumentParser):
         # when it matches this private pattern, whose value
         # r'^-\d+$|^-\d*\.\d+$' is the same in Python 3.10 to 3.13; it
         # gains -p/q here so that --eval takes a negative fraction
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         super().error(message if len(message) <= 300 else message[:300] + "...")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+class _Rejected(Exception):
+    """A trial parse failed; the full parser parses again and reports."""
+
+
+class _TrialParser(_Parser):
+    """Raises instead of printing, so that a rejection prints only the
+    full parser's message; its subparsers, built as ``type(self)``, too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _Rejected
+
+
+# (flags, keywords) of one add_argument call
+Argument = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _arg(*flags: str, **kwargs: Any) -> Argument:
+    return flags, kwargs
+
+
+def _cap(ceiling: int) -> Argument:
+    # the enumerators allocate per subset or per coloring, so --cap
+    # may only lower the default, never raise it
+    return _arg("--cap", type=natural, choices=range(ceiling + 1), default=ceiling,
+                metavar="N", help=f"enumeration edge cap, 0..{ceiling}")
+
+
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_FILE = (_arg("path", help="rotation-system file ('-' for stdin)"), _JSON)
+
+# name, handler, help, and the arguments in the order they are added
+COMMANDS: tuple[tuple[str, Callable[..., Result], str, tuple[Argument, ...]], ...] = (
+    ("info", cmd_info, "counts, genus and space dimensions", _FILE),
+    ("dual", cmd_dual, "emit the dual graph in the same format", _FILE),
+    ("count", cmd_count, "equivalence class count", (
+        *_FILE,
+        _arg("--method", choices=("direct", "homology", "oracle", "all"), default="all"),
+        _cap(oracle.DEFAULT_EDGE_CAP),
+    )),
+    ("medial", cmd_medial, "strand count and trace vectors", _FILE),
+    ("brt", cmd_brt, "ribbon polynomial, optionally evaluated", (
+        *_FILE,
+        _arg("--eval", nargs=3, type=rational, metavar=("X", "Y", "Z")),
+        _cap(brt.DEFAULT_EDGE_CAP),
+    )),
+    ("tutte", cmd_tutte, "Tutte polynomial value", (
+        *_FILE,
+        _arg("--eval", nargs=2, type=rational, metavar=("X", "Y"), required=True),
+        _cap(brt.DEFAULT_EDGE_CAP),
+    )),
+    ("homology", cmd_homology, "tree/co-tree data and the 2^(2g+b) count", (
+        *_FILE,
+        _arg("--tree", type=edge_list, default=None, metavar="E1,E2,...",
+             help="edge indices of a spanning tree to use"),
+    )),
+    ("reps", cmd_reps, "canonical class representatives (plane graphs)", _FILE),
+    ("signature", cmd_signature, "complete class invariant of a coloring",
+     (*_FILE, _arg("--coloring", required=True, metavar="BITS"))),
+    ("same-class", cmd_same_class, "decide equivalence of two colorings", (
+        *_FILE,
+        _arg("--a", required=True, metavar="BITS"),
+        _arg("--b", required=True, metavar="BITS"),
+    )),
+    ("bot", cmd_bot, "stacked incidence matrices with one row deleted each", (
+        *_FILE,
+        _arg("--vertex", type=natural, default=None),
+        _arg("--face", type=natural, default=None),
+    )),
+    ("oracle", cmd_oracle, "brute-force orbit census", (
+        *_FILE,
+        _cap(oracle.DEFAULT_EDGE_CAP),
+        _arg("--reps", action="store_true", help="print one coloring per class"),
+    )),
+    ("selftest", cmd_selftest, "run the invariant suite on the built-in fixtures",
+     (_JSON, _arg("--verbose", action="store_true"))),
+)
+
+
+def build_parser(only: str | None = None, parser_class: type[_Parser] = _Parser) -> _Parser:
+    """The parser of every command, or of the one command named ``only``."""
+    parser = parser_class(
         prog="bicolorgame",
         description="Count and characterize edge bicoloring classes of embedded graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, needs_path: bool = True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if needs_path:
-            p.add_argument("path", help="rotation-system file ('-' for stdin)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler, path=None)
-        return p
-
-    def add_cap(p: argparse.ArgumentParser, ceiling: int) -> None:
-        # the enumerators allocate per subset or per coloring, so --cap
-        # may only lower the default, never raise it
-        p.add_argument("--cap", type=natural, choices=range(ceiling + 1), default=ceiling,
-                       metavar="N", help=f"enumeration edge cap, 0..{ceiling}")
-
-    add("info", cmd_info, help="counts, genus and space dimensions")
-    add("dual", cmd_dual, help="emit the dual graph in the same format")
-
-    p = add("count", cmd_count, help="equivalence class count")
-    p.add_argument("--method", choices=("direct", "homology", "oracle", "all"), default="all")
-    add_cap(p, oracle.DEFAULT_EDGE_CAP)
-
-    add("medial", cmd_medial, help="strand count and trace vectors")
-
-    p = add("brt", cmd_brt, help="ribbon polynomial, optionally evaluated")
-    p.add_argument("--eval", nargs=3, type=rational, metavar=("X", "Y", "Z"))
-    add_cap(p, brt.DEFAULT_EDGE_CAP)
-
-    p = add("tutte", cmd_tutte, help="Tutte polynomial value")
-    p.add_argument("--eval", nargs=2, type=rational, metavar=("X", "Y"), required=True)
-    add_cap(p, brt.DEFAULT_EDGE_CAP)
-
-    p = add("homology", cmd_homology, help="tree/co-tree data and the 2^(2g+b) count")
-    p.add_argument("--tree", type=edge_list, default=None, metavar="E1,E2,...",
-                   help="edge indices of a spanning tree to use")
-
-    add("reps", cmd_reps, help="canonical class representatives (plane graphs)")
-
-    p = add("signature", cmd_signature, help="complete class invariant of a coloring")
-    p.add_argument("--coloring", required=True, metavar="BITS")
-
-    p = add("same-class", cmd_same_class, help="decide equivalence of two colorings")
-    p.add_argument("--a", required=True, metavar="BITS")
-    p.add_argument("--b", required=True, metavar="BITS")
-
-    p = add("bot", cmd_bot, help="stacked incidence matrices with one row deleted each")
-    p.add_argument("--vertex", type=natural, default=None)
-    p.add_argument("--face", type=natural, default=None)
-
-    p = add("oracle", cmd_oracle, help="brute-force orbit census")
-    add_cap(p, oracle.DEFAULT_EDGE_CAP)
-    p.add_argument("--reps", action="store_true", help="print one coloring per class")
-
-    p = add("selftest", cmd_selftest, needs_path=False,
-            help="run the invariant suite on the built-in fixtures")
-    p.add_argument("--verbose", action="store_true")
-
+    for name, handler, summary, arguments in COMMANDS:
+        if only in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(handler=handler, path=None)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv led by a command name with that command's parser alone.
+
+    A subparser's prog and messages do not depend on the other commands,
+    so its ``-h`` prints on this path; any other argv, and every error
+    (the top parser's usage lists all commands), goes to the full parser,
+    which parses again and prints exactly what it always printed.
+    """
+    if argv and any(argv[0] == name for name, *_ in COMMANDS):
+        try:
+            return build_parser(argv[0], _TrialParser).parse_args(argv)
+        except _Rejected:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         g = None if args.path is None else parse_rotation_system(_read(args.path))
         doc, lines, rc = args.handler(g, args)

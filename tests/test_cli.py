@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -684,3 +685,91 @@ def test_count_and_oracle_at_the_sweep_cap(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert (doc["class_count"], doc["orbit_size"]) == ("2048", "2048")
+
+
+# -- one command, one subparser ---------------------------------------------
+
+# None stands for the graph file, E = 8
+ACCEPTED = [
+    ["info", None],
+    ["dual", None, "--json"],
+    ["count", "--method", "direct", None],
+    ["medial", None],
+    ["brt", "--eval", "-1/2", "1", "1", None],
+    ["tutte", "--eval", "-1", "-1", "--cap", "8", None],
+    ["homology", "--tree", "0,1,3,6", None],
+    ["reps", None],
+    ["signature", "--coloring", "10101010", None],
+    ["same-class", "--a", "00000000", "--b", "11000000", None],
+    ["bot", "--vertex", "0", "--face", "0", None],
+    ["oracle", "--reps", None],
+    ["selftest"],
+]
+REJECTED = [
+    *([name, None, "--nope"] for name, *_ in cli.COMMANDS),
+    *([name, None, "extra"] for name, *_ in cli.COMMANDS),
+    *([name, "-h"] for name, *_ in cli.COMMANDS),
+    ["brt"],
+    ["tutte", None],
+    ["signature", None],
+    ["count", "--method", "bogus", None],
+    ["count", "--cap", "23", None],
+    ["oracle", "--cap", "23", None],
+    ["brt", "--cap", "27", None],
+    ["tutte", "--eval", "1", "1", "--cap", "27", None],
+    ["bot", None, "-h", "--nope"],
+    ["-h"],
+    ["nosuch", None],
+    ["bt", None],
+    ["--json", "info", None],
+    [],
+]
+
+
+def _outcome(capsys, argv: list[str]) -> tuple[str, str, int]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+@pytest.mark.parametrize("argv", ACCEPTED + REJECTED,
+                         ids=lambda argv: " ".join(a or "FILE" for a in argv) or "empty")
+def test_main_prints_what_the_full_parser_prints(capsys, paths, monkeypatch, argv):
+    # argparse wraps its usage and help to the terminal width that COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    accepted = argv in ACCEPTED
+    argv = [paths["plane_two_triangles"] if a is None else a for a in argv]
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+    out, err, code = got
+    if accepted:
+        assert code == 0 and out
+    elif "-h" in argv:
+        assert (code, err) == (0, "") and out.startswith("usage: ")
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: ")
+
+
+def test_a_command_builds_only_its_own_parser(capsys, paths, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["count", "--method", "direct", paths["torus_grid"]]) == 0
+    assert added == ["count"]
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--method", "bogus", paths["torus_grid"]])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+    # the trial parse with one subparser, then the full parser with all 13
+    assert added == ["count", *(name for name, *_ in cli.COMMANDS)]
+    assert len(added) == 14
