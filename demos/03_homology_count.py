@@ -44,5 +44,5 @@ print()
 
 b = strand_kernel_basis(g, tc).nrows
 print(f"The image has rank 2, the strand space dimension 3, so b = {b}.")
-print(f"Class count 2^(2g + b) = 2^(2*{g.genus} + {b}) = {class_count_homology(g, tc)}")
+print(f"Class count 2^(2g + b) = 2^(2*{g.genus} + {b}) = {class_count_homology(g)}")
 print(f"Direct linear-algebra count agrees: {class_count_direct(g)}")

@@ -200,10 +200,13 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     darts on two curves a X and b Y it leaves one curve X Y and merges
     their components.  An emptied curve adds one closed face, and a
     component with no open curve left adds one closed component.  A vertex
-    enters as its rotation when it is first touched, and a vertex never
-    touched counts one component and one face.  With ``faces`` false f(H)
-    is reported as 0 and a state is only the partition, into components,
-    of the touched vertices that still have undecided edges.
+    enters as its rotation, as stored, when it is first touched: the
+    rotation holds a dart of the edge, where the step cuts it, and
+    :func:`_settle` is the one place a curve is made to start at its least
+    dart.  A vertex never touched counts one component and one face.  With
+    ``faces`` false f(H) is reported as 0 and a state is only the
+    partition, into components, of the touched vertices that still have
+    undecided edges.
     """
     nv, m = g.vertex_count, g.edge_count
     order = g.derived(_order)
@@ -213,34 +216,24 @@ def _transfer(g: EmbeddedGraph, faces: bool) -> dict[tuple[int, int, int], int]:
     untouched = sum(not rot for rot in g.rotations)
     start = untouched * (sk + faces)
     touched: set[int] = set()
+    remaining = [len(rot) for rot in g.rotations]
+    frontier: list[int] = []
     steps = []
-    if faces:
-        for j in order:
-            a, b = g.edge_darts[j]
-            fresh = []
-            for v in dict.fromkeys(g.endpoints[j]):
-                if v not in touched:
-                    touched.add(v)
-                    rot = g.rotations[v]
-                    i = rot.index(min(rot))
-                    fresh.append(rot[i:] + rot[:i])
-            steps.append((a, b, tuple(fresh), se, sk))
-        decide = _decide_curves
-    else:
-        remaining = [len(rot) for rot in g.rotations]
-        frontier: list[int] = []
-        for j in order:
-            u, w = g.endpoints[j]
-            fresh = [v for v in dict.fromkeys((u, w)) if v not in touched]
-            touched.update(fresh)
-            frontier += fresh
-            remaining[u] -= 1
-            remaining[w] -= 1
-            kept = tuple(i for i, v in enumerate(frontier) if remaining[v])
-            gone = tuple(i for i, v in enumerate(frontier) if not remaining[v])
-            steps.append((frontier.index(u), frontier.index(w), len(fresh), kept, gone, sk))
-            frontier = [frontier[i] for i in kept]
-        decide = _decide_blocks
+    for j in order:
+        u, w = g.endpoints[j]
+        fresh = [v for v in dict.fromkeys((u, w)) if v not in touched]
+        touched.update(fresh)
+        if faces:
+            steps.append((*g.edge_darts[j], tuple(g.rotations[v] for v in fresh), se, sk))
+            continue
+        frontier += fresh
+        remaining[u] -= 1
+        remaining[w] -= 1
+        kept = tuple(i for i, v in enumerate(frontier) if remaining[v])
+        gone = tuple(i for i, v in enumerate(frontier) if not remaining[v])
+        steps.append((frontier.index(u), frontier.index(w), len(fresh), kept, gone, sk))
+        frontier = [frontier[i] for i in kept]
+    decide = _decide_curves if faces else _decide_blocks
     table: dict = {((), ()) if faces else (): {start: 1}}
     for step in steps:
         out: dict = {}

@@ -16,10 +16,11 @@ def fixture_names() -> list[str]:
 
 
 def fixture_text(name: str) -> str:
-    path = resources.files(__package__) / f"{name}.rot"
-    if not path.is_file():
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
-    return path.read_text(encoding="utf-8")
+    """The text of the bundled rotation system ``name``, one of :func:`fixture_names`."""
+    names = fixture_names()
+    if name not in names:
+        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names)}")
+    return (resources.files(__package__) / f"{name}.rot").read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> EmbeddedGraph:

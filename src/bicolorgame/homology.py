@@ -174,6 +174,6 @@ def _default_strand_kernel(g: EmbeddedGraph) -> GF2Matrix:
     return strand_kernel_basis(g, g.derived(tree_cotree))
 
 
-def class_count_homology(g: EmbeddedGraph, tc: TreeCotree | None = None) -> int:
+def class_count_homology(g: EmbeddedGraph) -> int:
     """Number of equivalence classes counted as 2^(2g + b)."""
-    return 1 << (2 * g.genus + strand_kernel_basis(g, tc).nrows)
+    return 1 << (2 * g.genus + strand_kernel_basis(g).nrows)

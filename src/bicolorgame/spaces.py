@@ -91,18 +91,21 @@ def _coloring(edge_count: int, w: int) -> int:
     return w
 
 
+def _index(kind: str, i: int, count: int) -> int:
+    """i itself, once it is checked to be one of ``count`` vertex or face indices."""
+    if not 0 <= i < count:
+        raise IndexError(f"{kind} index {i} out of range")
+    return i
+
+
 def apply_vertex_move(g: EmbeddedGraph, w: int, vertex: int) -> int:
     """Switch the colors of all non-loop edges at the vertex."""
-    if not 0 <= vertex < g.vertex_count:
-        raise IndexError(f"vertex index {vertex} out of range")
-    return _coloring(g.edge_count, w) ^ g.incidence_matrix.rows[vertex]
+    return _coloring(g.edge_count, w) ^ g.incidence_matrix.rows[_index("vertex", vertex, g.vertex_count)]
 
 
 def apply_face_move(g: EmbeddedGraph, w: int, face: int) -> int:
     """Switch the colors of the edges appearing once on the face boundary."""
-    if not 0 <= face < g.face_count:
-        raise IndexError(f"face index {face} out of range")
-    return _coloring(g.edge_count, w) ^ g.dual_incidence_matrix.rows[face]
+    return _coloring(g.edge_count, w) ^ g.dual_incidence_matrix.rows[_index("face", face, g.face_count)]
 
 
 def class_exponent(g: EmbeddedGraph) -> int:
@@ -147,7 +150,8 @@ def class_signature(basis: GF2Matrix, w: int) -> int:
 def incident_faces(g: EmbeddedGraph, vertex: int) -> list[int]:
     """The faces around a vertex, ascending; every face when it has no darts."""
     face_of = g.faces.face_of_dart
-    return sorted({face_of[d] for d in g.rotations[vertex]}) or list(range(g.face_count))
+    rot = g.rotations[_index("vertex", vertex, g.vertex_count)]
+    return sorted({face_of[d] for d in rot}) or list(range(g.face_count))
 
 
 def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = None) -> GF2Matrix:
@@ -160,14 +164,10 @@ def bot_matrix(g: EmbeddedGraph, vertex: int | None = None, face: int | None = N
     """
     if vertex is None:
         vertex = 0
-    if not 0 <= vertex < g.vertex_count:
-        raise IndexError(f"vertex index {vertex} out of range")
     incident = incident_faces(g, vertex)
     if face is None:
         face = incident[0]
-    if not 0 <= face < g.face_count:
-        raise IndexError(f"face index {face} out of range")
-    if face not in incident:
+    if _index("face", face, g.face_count) not in incident:
         raise ValueError(f"face {face} is not incident to vertex {vertex}")
     rows = tuple(r for i, r in enumerate(g.incidence_matrix.rows) if i != vertex)
     dual_rows = tuple(r for i, r in enumerate(g.dual_incidence_matrix.rows) if i != face)

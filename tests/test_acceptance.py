@@ -86,7 +86,7 @@ def test_criterion_2_square_handles_fixture():
     assert gf2.rank(images) == 2
     assert strand_kernel_basis(g, tc).nrows == 1
     assert spaces.class_count_direct(g) == 8
-    assert class_count_homology(g, tc) == 8
+    assert class_count_homology(g) == 8
     assert enumerate_classes(g).class_count == 8
     p = brt_polynomial(g)
     assert dict(p.coeffs) == SQUARE_HANDLES_BRT

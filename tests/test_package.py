@@ -1,12 +1,16 @@
-"""Package surface: the exports resolve, and the orbit oracle stays independent."""
+"""Package surface: the exports resolve, only bundled fixtures load, and the
+orbit oracle stays independent."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import bicolorgame
 from bicolorgame import oracle
+from bicolorgame.fixtures import fixture_names, fixture_text, load_fixture
 
 
 def test_star_import_resolves_every_export():
@@ -16,6 +20,20 @@ def test_star_import_resolves_every_export():
     assert names <= namespace.keys()
     for name in names:
         assert namespace[name] is getattr(bicolorgame, name)
+
+
+def test_only_bundled_fixture_names_load(tmp_path):
+    # a path beside or outside the package names no fixture, even where a
+    # .rot file exists: the first is torus_grid's own file, the second a
+    # valid graph written here
+    (tmp_path / "outside.rot").write_text(fixture_text("torus_grid"), encoding="utf-8")
+    message = "unknown fixture {!r}; available: " + ", ".join(fixture_names())
+    for name in ("../fixtures/torus_grid", str(tmp_path / "outside"), "torus_grid.rot"):
+        for read in (fixture_text, load_fixture):
+            with pytest.raises(KeyError) as info:
+                read(name)
+            assert info.value.args == (message.format(name),)
+    assert load_fixture("torus_grid").edge_count == 9
 
 
 def test_oracle_imports_no_linear_algebra():

@@ -175,6 +175,25 @@ def test_bot_matrix_rejects_non_incident(torus_grid):
             spaces.bot_matrix(torus_grid, 0, min(outside))
 
 
+def test_vertex_and_face_indices_are_refused_out_of_range(torus_grid):
+    # -1 would read the last vertex or face, and the count is one past the end
+    g = torus_grid
+    for v in (-1, g.vertex_count):
+        message = f"^vertex index {v} out of range$"
+        with pytest.raises(IndexError, match=message):
+            spaces.incident_faces(g, v)
+        with pytest.raises(IndexError, match=message):
+            spaces.apply_vertex_move(g, 0, v)
+        with pytest.raises(IndexError, match=message):
+            spaces.bot_matrix(g, v)
+    for f in (-1, g.face_count):
+        message = f"^face index {f} out of range$"
+        with pytest.raises(IndexError, match=message):
+            spaces.apply_face_move(g, 0, f)
+        with pytest.raises(IndexError, match=message):
+            spaces.bot_matrix(g, 0, f)
+
+
 def test_coloring_string_length(torus_grid):
     with pytest.raises(ValueError):
         spaces.coloring_from_string(torus_grid, "0101")
